@@ -11,7 +11,7 @@
 //!   the FFN phase, loaded concurrently on the two engines (Fig 4.11).
 //!
 //! Since the `core::plan` refactor the three architectures are not three
-//! simulators: [`simulate_batch`] lowers the request into one
+//! simulators: [`simulate`] lowers the request into one
 //! [`crate::plan::ExecPlan`] (where A1/A2/A3 differ only in the prefetch
 //! edges the lowering emits) and prices it with the analytic walker
 //! [`crate::plan::walk_cost`]. The walker builds an explicit [`Timeline`],
@@ -127,32 +127,11 @@ impl ArchResult {
 /// Simulate an architecture for an input of (unpadded) length `input_len`.
 ///
 /// The input is padded to the built sequence length (§5.1.5); compute and
-/// load times are those of the padded length.
+/// load times are those of the padded length. The request is lowered into
+/// a solo [`ExecPlan`] and priced with the analytic walker; a batched
+/// request is the same two calls with `batch > 1`.
 pub fn simulate(cfg: &AccelConfig, arch: Architecture, input_len: usize) -> ArchResult {
-    simulate_batch(cfg, arch, input_len, 1)
-}
-
-/// Simulate an architecture serving a *batch* of `batch` equal-length
-/// utterances through one pass over the 18 layers: every phase's weights
-/// are loaded once, and its compute block lasts `batch ×` the solo compute
-/// (the utterances run back-to-back under the resident layer). On A2/A3 the
-/// next phase's prefetch overlaps the whole batch's compute, so the
-/// residual per-utterance stall shrinks with `batch`; A1 stays strictly
-/// sequential — loads still never overlap compute.
-///
-/// `batch == 1` reproduces [`simulate`] bit-for-bit (same spans, same
-/// labels: the compute scale factor is exactly 1.0).
-///
-/// Since the plan refactor this is a thin wrapper: lower once, price with
-/// the shared analytic walker. The A1/A2/A3 recurrences live in the plan's
-/// edges, not here.
-pub fn simulate_batch(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    batch: usize,
-) -> ArchResult {
-    let plan = ExecPlan::lower(cfg, arch, input_len, batch, IntegrityLevel::Off)
+    let plan = ExecPlan::lower(cfg, arch, input_len, 1, IntegrityLevel::Off)
         .expect("valid simulation request");
     ArchResult::from_cost(&plan, walk_cost(cfg, &plan))
 }

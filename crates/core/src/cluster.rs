@@ -30,7 +30,9 @@ use std::collections::BinaryHeap;
 
 use crate::error::{AccelError, Result};
 use crate::plan::PlanCheckpoint;
-use crate::serve::{BreakerState, Evicted, RequestOutcome, ServeConfig, ServePool, ServeReport};
+use crate::serve::{
+    p50_p99, BreakerState, Evicted, RequestOutcome, ServeConfig, ServePool, ServeReport,
+};
 use crate::stream::jitter;
 use asr_fpga_sim::faults::correlated_hbm_burst;
 
@@ -604,7 +606,7 @@ impl Cluster {
             cluster.push(at, EvKind::Tick);
         }
         cluster.event_loop();
-        Ok(cluster.into_report())
+        cluster.into_report()
     }
 
     fn push(&mut self, t: f64, kind: EvKind) {
@@ -983,7 +985,7 @@ impl Cluster {
 
     // ---- reporting ----
 
-    fn into_report(mut self) -> ClusterReport {
+    fn into_report(mut self) -> Result<ClusterReport> {
         // Drain every surviving pool to completion.
         for n in &mut self.nodes {
             let Some(pool) = n.pool.as_mut() else { continue };
@@ -1059,19 +1061,11 @@ impl Cluster {
         // them, so they do not double-count. Adoptions do.
         let offered = submitted_total - offered_minus + self.lost_unplaced;
         let accounted = completed + shed + missed + failed + dropped;
-        // Conservation: every submission ends in a terminal record or an
-        // eviction; evictions end adopted (re-submitted) or lost.
+        check_conservation(accounted, evicted_total, submitted_total)?;
+        // Evictions end adopted (re-submitted) or lost.
         let lost = (evicted_total - self.handoffs) + self.lost_unplaced;
-        debug_assert_eq!(accounted + evicted_total, submitted_total);
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |p: f64| {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-            }
-        };
-        ClusterReport {
+        let (p50, p99) = p50_p99(latencies);
+        Ok(ClusterReport {
             nodes: per_node.len(),
             offered,
             completed,
@@ -1085,16 +1079,29 @@ impl Cluster {
             resumed_dispatches: resumed,
             checkpoint_rejects: rejects,
             version_rejects: vrejects,
-            p50_latency_s: pct(0.50),
-            p99_latency_s: pct(0.99),
+            p50_latency_s: p50,
+            p99_latency_s: p99,
             wall_s: wall,
             throughput_rps: if wall > 0.0 { completed as f64 / wall } else { 0.0 },
             upgrade: upgrade_outcome,
             upgrade_downtime_s,
             per_node,
             records,
-        }
+        })
     }
+}
+
+/// Conservation, checked in release builds too: every submission ends in a
+/// terminal record or an eviction. A mismatch means the cluster lost or
+/// invented a request, so the report is refused rather than returned wrong.
+fn check_conservation(accounted: usize, evicted: usize, submitted: usize) -> Result<()> {
+    if accounted + evicted == submitted {
+        return Ok(());
+    }
+    Err(AccelError::Config(format!(
+        "cluster accounting does not balance: {} terminal + {} evicted != {} submitted",
+        accounted, evicted, submitted
+    )))
 }
 
 #[cfg(test)]
@@ -1364,5 +1371,13 @@ mod tests {
         assert!(text.contains("lost                 : 0"));
         assert!(text.contains("upgrade              : not requested"));
         assert!(text.contains("cluster nodes        : 2"));
+    }
+
+    #[test]
+    fn unbalanced_accounting_is_a_typed_error() {
+        check_conservation(7, 3, 10).unwrap();
+        let err = check_conservation(7, 2, 10).unwrap_err();
+        assert!(matches!(err, AccelError::Config(_)), "{}", err);
+        assert!(err.to_string().contains("does not balance"), "{}", err);
     }
 }

@@ -6,8 +6,9 @@
 //! ([`crate::config::AccelConfig::validate`],
 //! [`crate::plan::PlanBuilder::build`] — where lowering rejects bad batches
 //! and over-length inputs before any executor runs —
-//! [`crate::host_runtime::run_through_runtime`],
-//! [`crate::host_runtime::run_with_recovery`],
+//! [`crate::host_runtime::run_plan_with_recovery`] (inside its
+//! [`crate::host_runtime::BatchFailure`]),
+//! [`crate::integrity::run_functional_plan`],
 //! [`crate::host::HostController`]) returns; panics are reserved for
 //! internal invariants.
 

@@ -10,9 +10,14 @@
 //! independent consumers of one IR, and the tests pin them to each other: a
 //! disagreement means one of them mis-models the overlap structure.
 //!
-//! On top of the fault-free path ([`run_through_runtime`]) sits the
-//! fault-tolerant host ([`run_with_recovery`]): every command's
-//! [`CommandStatus`] is checked, transient failures are retried with
+//! These two functions are the module's only entry points. The workload's
+//! shape — batch, resumed suffix, resident-stripe reuse, decode step — is
+//! chosen when the plan is built ([`ExecPlan::lower`], [`ExecPlan::resume`],
+//! [`ExecPlan::lower_decode_step`], [`crate::plan::PlanBuilder`]), never by
+//! picking a different executor.
+//!
+//! The fault-tolerant executor checks every command's [`CommandStatus`]:
+//! transient failures are retried with
 //! exponential backoff, hangs are reaped by the watchdog and relaunched, and
 //! permanent faults walk the **degradation ladder**:
 //!
@@ -99,45 +104,6 @@ pub struct BatchRun {
     pub loads_issued: usize,
     /// Seconds the prefetch engines spent moving weights.
     pub load_busy_s: f64,
-}
-
-/// Drive an architecture's schedule through the runtime; returns the
-/// runtime (for its timeline) and the makespan in seconds.
-///
-/// A2/A3 run their prefetch pipelines; A1 runs the same command stream with
-/// every load additionally gated on the previous layer's compute, which is
-/// exactly the Fig 4.8 no-overlap recurrence.
-pub fn run_through_runtime(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-) -> Result<(Runtime, f64)> {
-    let run = run_batch_through_runtime(cfg, arch, input_len, 1)?;
-    Ok((run.runtime, run.makespan_s))
-}
-
-/// Drive a *batched* schedule through the runtime: each phase's weight
-/// stripes are loaded **once** for the whole batch, and the `batch`
-/// per-utterance computes run back-to-back under the resident layer. On
-/// A2/A3 the prefetch of phase `l+1` therefore overlaps the entire batch's
-/// compute on phase `l`, amortizing the load cost over `batch` utterances;
-/// on A1 every load still waits out the previous phase's *last* compute, so
-/// the no-overlap baseline keeps its shape.
-///
-/// At `batch == 1` the emitted command stream is identical — labels,
-/// dependency sets, order — to [`run_through_runtime`]'s, which is what the
-/// batch-vs-solo bit-identity tests pin.
-///
-/// Since the plan refactor this is a thin wrapper: lower once, replay with
-/// the shared executor [`run_plan`].
-pub fn run_batch_through_runtime(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    batch: usize,
-) -> Result<BatchRun> {
-    let plan = ExecPlan::lower(cfg, arch, input_len, batch, cfg.integrity)?;
-    Ok(run_plan(cfg, &plan))
 }
 
 /// The fault-free plan executor: replay an [`ExecPlan`]'s command DAG
@@ -262,43 +228,8 @@ pub struct RecoveryEvent {
     pub detail: String,
 }
 
-/// Outcome of a fault-injected run that survived to completion.
-#[derive(Debug, Clone)]
-pub struct FaultedRun {
-    /// The runtime (its timeline holds work spans, fault markers, and
-    /// recovery annotations).
-    pub runtime: Runtime,
-    /// Makespan with faults and recovery, seconds.
-    pub makespan_s: f64,
-    /// Fault-free makespan of the same schedule, seconds.
-    pub nominal_s: f64,
-    /// Architecture the run started at.
-    pub entry_arch: Architecture,
-    /// Architecture the run finished at (after any ladder descent).
-    pub final_arch: Architecture,
-    /// SLR that dropped out, if one did.
-    pub dead_slr: Option<usize>,
-    /// Total retries spent on transient faults.
-    pub retries: u32,
-    /// Every recovery decision, in order.
-    pub events: Vec<RecoveryEvent>,
-    /// Silent-corruption accounting (CRC + ABFT), per DESIGN.md §9.
-    pub corruption: CorruptionCounters,
-}
-
-impl FaultedRun {
-    /// Latency penalty of the faults, as a fraction of nominal (0 = clean).
-    pub fn slowdown(&self) -> f64 {
-        if self.nominal_s > 0.0 {
-            self.makespan_s / self.nominal_s - 1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Outcome of a fault-injected *batched* run that survived to completion.
-/// The non-batch fields mean exactly what they do on [`FaultedRun`].
+/// Outcome of a fault-injected run (solo or batched) that survived to
+/// completion.
 #[derive(Debug, Clone)]
 pub struct BatchedRun {
     /// The runtime (work spans, fault markers, recovery annotations).
@@ -337,6 +268,17 @@ pub struct BatchedRun {
     pub resume: Option<crate::plan::PlanResume>,
 }
 
+impl BatchedRun {
+    /// Latency penalty of the faults, as a fraction of nominal (0 = clean).
+    pub fn slowdown(&self) -> f64 {
+        if self.nominal_s > 0.0 {
+            self.makespan_s / self.nominal_s - 1.0
+        } else {
+            0.0
+        }
+    }
+}
+
 /// A batched run that died mid-flight: the typed error, when the device
 /// gave up, and which utterances had already finished every phase — the
 /// serving layer fails over only the rest.
@@ -361,74 +303,27 @@ pub struct BatchFailure {
 }
 
 impl BatchFailure {
-    fn from_error(error: AccelError, finished_s: Vec<f64>) -> Self {
-        let at_s = match &error {
-            AccelError::Unrecoverable { at_s, .. } | AccelError::CorruptWeights { at_s, .. } => {
-                *at_s
-            }
-            _ => 0.0,
-        };
-        BatchFailure { error, at_s, finished_s, checkpoint: None, stats: CommandStats::default() }
+    /// A failure with no dispatch state behind it — typically a lowering
+    /// error — so callers that lower a plan and then run it can treat both
+    /// failure kinds alike.
+    pub(crate) fn from_error(error: AccelError) -> Self {
+        BatchFailure {
+            at_s: failure_time_s(&error),
+            error,
+            finished_s: Vec::new(),
+            checkpoint: None,
+            stats: CommandStats::default(),
+        }
     }
 }
 
-/// Run an architecture's schedule through the runtime with a fault plan
-/// attached, retrying transient failures and walking the degradation ladder
-/// on permanent ones. A run entered at A1 has no engine rung left below it,
-/// but still retries transients and survives an SLR loss.
-///
-/// Returns `Ok` whenever the policy leaves a path to completion — possibly
-/// at a lower architecture rung and a larger makespan — and
-/// [`AccelError::Unrecoverable`] when retries are exhausted or degradation
-/// is disallowed/impossible.
-pub fn run_with_recovery(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    plan: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> Result<FaultedRun> {
-    match run_batch_with_recovery(cfg, arch, input_len, 1, plan, policy) {
-        Ok(b) => Ok(FaultedRun {
-            runtime: b.runtime,
-            makespan_s: b.makespan_s,
-            nominal_s: b.nominal_s,
-            entry_arch: b.entry_arch,
-            final_arch: b.final_arch,
-            dead_slr: b.dead_slr,
-            retries: b.retries,
-            events: b.events,
-            corruption: b.corruption,
-        }),
-        Err(f) => Err(f.error),
+/// When the host detected a failure: the recorded fault time for the
+/// errors that carry one, 0 for pre-dispatch errors.
+fn failure_time_s(error: &AccelError) -> f64 {
+    match error {
+        AccelError::Unrecoverable { at_s, .. } | AccelError::CorruptWeights { at_s, .. } => *at_s,
+        _ => 0.0,
     }
-}
-
-/// [`run_with_recovery`] generalized to a batch: one CRC-verified weight
-/// load per phase for the whole batch, per-utterance computes back-to-back
-/// under the resident layer, and the same retry/degradation ladder. A
-/// mid-batch fault reports which utterances already finished
-/// ([`BatchFailure::finished_s`]) so callers can fail over only the rest.
-///
-/// `run_with_recovery` delegates here with `batch == 1`, so the solo path
-/// and the batched path cannot drift apart.
-///
-/// Since the plan refactor this is a thin wrapper: lower once, replay with
-/// the shared fault-tolerant executor [`run_plan_with_recovery`].
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn run_batch_with_recovery(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    batch: usize,
-    plan: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<BatchedRun, BatchFailure> {
-    let exec = ExecPlan::lower(cfg, arch, input_len, batch, cfg.integrity)
-        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    run_plan_with_recovery(cfg, &exec, plan, policy)
 }
 
 /// The fault-tolerant plan executor: replay an [`ExecPlan`] under a
@@ -491,12 +386,7 @@ pub fn run_plan_with_recovery(
                 loaded: usize,
                 rt: &Runtime|
      -> BatchFailure {
-        let at_s = match &error {
-            AccelError::Unrecoverable { at_s, .. } | AccelError::CorruptWeights { at_s, .. } => {
-                *at_s
-            }
-            _ => 0.0,
-        };
+        let at_s = failure_time_s(&error);
         let checkpoint = Some(PlanCheckpoint::at(plan, completed, loaded, &finished, at_s));
         BatchFailure { error, at_s, finished_s: finished, checkpoint, stats: rt.command_stats() }
     };
@@ -867,128 +757,6 @@ pub fn run_plan_with_recovery(
     })
 }
 
-/// Resume a checkpointed batch: lower the uncompleted suffix against this
-/// device's config — trusting resident stripes only on a same-device
-/// resume — and execute it under the device's fault plan. A poisoned or
-/// mismatched checkpoint surfaces as [`AccelError::CheckpointRejected`]
-/// inside the [`BatchFailure`] (with no checkpoint attached): the caller's
-/// clean fallback is a full restart, never silent reuse.
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn resume_batch(
-    cfg: &AccelConfig,
-    ckpt: &PlanCheckpoint,
-    trust_resident: bool,
-    faults: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<BatchedRun, BatchFailure> {
-    let plan = ExecPlan::resume(cfg, ckpt, trust_resident)
-        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    run_plan_with_recovery(cfg, &plan, faults, policy)
-}
-
-/// One streaming chunk executed through the fault-tolerant plan executor,
-/// plus the stripe set the device pins for the stream's next chunk.
-#[derive(Debug, Clone)]
-pub struct StreamChunkRun {
-    /// The chunk's run (timeline, makespan, recovery events, checkpoints).
-    pub run: BatchedRun,
-    /// Elision accounting of the lowering (`None` on a cold first chunk).
-    pub reuse: Option<crate::plan::PlanReuse>,
-    /// Stripes now pinned in the device's stream weight cache — feed these
-    /// to the stream's next chunk.
-    pub pinned: Vec<crate::plan::ResidentStripe>,
-    /// Bytes the schedule would stream with nothing resident (the elision
-    /// fraction's denominator).
-    pub scheduled_load_bytes: u64,
-}
-
-/// Execute one chunk of a streaming session through the runtime: lower a
-/// batch-of-one plan for the `window_len`-step attention window — eliding
-/// every `LoadStripe` whose CRC-matching stripe is already pinned in the
-/// device's stream weight cache from the previous chunk — and replay it
-/// under the device's fault plan with the full retry/degradation ladder.
-/// On success the returned [`StreamChunkRun::pinned`] is what the device
-/// keeps resident for chunk *k+1*; on failure the [`BatchFailure`] carries
-/// the barrier-granular checkpoint exactly as a batch run's would, and the
-/// serving layer replays **only this chunk** on the failover target (the
-/// stream's carryover state lives above this layer, untouched by the
-/// device death).
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn run_stream_chunk(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    window_len: usize,
-    resident: &[crate::plan::ResidentStripe],
-    pin_slots: usize,
-    faults: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<StreamChunkRun, BatchFailure> {
-    let mut builder =
-        crate::plan::PlanBuilder::new(cfg, arch).utterances(&[window_len]).integrity(cfg.integrity);
-    if !resident.is_empty() {
-        builder = builder.reuse_resident(resident);
-    }
-    let plan = builder.build().map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    let pinned = plan.pinned_stripes(pin_slots);
-    let scheduled_load_bytes = plan.scheduled_load_bytes();
-    let reuse = plan.reuse;
-    let run = run_plan_with_recovery(cfg, &plan, faults, policy)?;
-    Ok(StreamChunkRun { run, reuse, pinned, scheduled_load_bytes })
-}
-
-/// One autoregressive decode step executed through the fault-tolerant plan
-/// executor, plus the stripe set the device pins for the session's next
-/// step.
-#[derive(Debug, Clone)]
-pub struct DecodeStepRun {
-    /// The step's run (timeline, makespan, recovery events, checkpoints).
-    pub run: BatchedRun,
-    /// Elision accounting of the lowering (`None` on the cold first step).
-    pub reuse: Option<crate::plan::PlanReuse>,
-    /// Stripes now pinned in the device's decode weight cache — feed these
-    /// to the session's next step.
-    pub pinned: Vec<crate::plan::ResidentStripe>,
-    /// Bytes the step's schedule would stream with nothing resident.
-    pub scheduled_load_bytes: u64,
-    /// Bytes the lowered plan actually fetches after elision.
-    pub fetched_load_bytes: u64,
-}
-
-/// Execute one autoregressive decode step through the runtime: lower the
-/// step's [`crate::plan::DecodeStepSpec`] plan — eliding every `LoadStripe`
-/// whose CRC-matching stripe the previous step left pinned (steady-state
-/// steps fetch only the front-token embedding rows) — and replay it under
-/// the device's fault plan with the full retry/degradation ladder. On
-/// success the returned [`DecodeStepRun::pinned`] is what the device keeps
-/// resident for step `t + 1`; on failure the [`BatchFailure`] carries the
-/// barrier-granular checkpoint exactly as a batch run's would, and the
-/// serving layer replays **only this step** on the failover target (the
-/// beam state and KV cache ship with the session, above this layer).
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn run_decode_step(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    spec: crate::plan::DecodeStepSpec,
-    resident: &[crate::plan::ResidentStripe],
-    faults: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<DecodeStepRun, BatchFailure> {
-    let plan = ExecPlan::lower_decode_step(cfg, arch, spec, resident, cfg.integrity)
-        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    let pinned = plan.decode_pinned_stripes();
-    let scheduled_load_bytes = plan.scheduled_load_bytes();
-    let fetched_load_bytes = plan.fetched_load_bytes();
-    let reuse = plan.reuse;
-    let run = run_plan_with_recovery(cfg, &plan, faults, policy)?;
-    Ok(DecodeStepRun { run, reuse, pinned, scheduled_load_bytes, fetched_load_bytes })
-}
-
 /// The configuration after losing one SLR: half the PSA pool, head split
 /// re-balanced so `parallel_heads × psas_per_head == n_psas` still holds.
 ///
@@ -1019,6 +787,7 @@ pub fn slr_degraded_config(cfg: &AccelConfig) -> Result<AccelConfig> {
 mod tests {
     use super::*;
     use crate::arch::simulate;
+    use crate::plan::{DecodeStepSpec, PlanBuilder, ResidentStripe};
     use asr_fpga_sim::faults::FaultKind;
 
     fn unpadded(s: usize) -> AccelConfig {
@@ -1027,12 +796,17 @@ mod tests {
         c
     }
 
+    /// The single-utterance plan at the config's integrity level.
+    fn solo(cfg: &AccelConfig, arch: Architecture, s: usize) -> ExecPlan {
+        ExecPlan::lower(cfg, arch, s, 1, cfg.integrity).unwrap()
+    }
+
     #[test]
     fn runtime_and_arch_simulators_agree_on_a3() {
         for s in [4usize, 8, 16, 32] {
             let cfg = unpadded(s);
             let bespoke = simulate(&cfg, Architecture::A3, s).latency_s;
-            let (_, via_runtime) = run_through_runtime(&cfg, Architecture::A3, s).unwrap();
+            let via_runtime = run_plan(&cfg, &solo(&cfg, Architecture::A3, s)).makespan_s;
             assert!(
                 (bespoke - via_runtime).abs() / bespoke < 0.01,
                 "s={}: arch {} vs runtime {}",
@@ -1048,7 +822,7 @@ mod tests {
         for s in [4usize, 16, 32] {
             let cfg = unpadded(s);
             let bespoke = simulate(&cfg, Architecture::A2, s).latency_s;
-            let (_, via_runtime) = run_through_runtime(&cfg, Architecture::A2, s).unwrap();
+            let via_runtime = run_plan(&cfg, &solo(&cfg, Architecture::A2, s)).makespan_s;
             assert!(
                 (bespoke - via_runtime).abs() / bespoke < 0.01,
                 "s={}: arch {} vs runtime {}",
@@ -1062,7 +836,7 @@ mod tests {
     #[test]
     fn runtime_timeline_has_load_and_kernel_tracks() {
         let cfg = unpadded(8);
-        let (rt, _) = run_through_runtime(&cfg, Architecture::A3, 8).unwrap();
+        let rt = run_plan(&cfg, &solo(&cfg, Architecture::A3, 8)).runtime;
         let units = rt.timeline().units();
         assert!(units.contains(&"maxi-0"));
         assert!(units.contains(&"maxi-1"));
@@ -1076,7 +850,7 @@ mod tests {
         for s in [4usize, 8, 16, 32] {
             let cfg = unpadded(s);
             let bespoke = simulate(&cfg, Architecture::A1, s).latency_s;
-            let (_, via_runtime) = run_through_runtime(&cfg, Architecture::A1, s).unwrap();
+            let via_runtime = run_plan(&cfg, &solo(&cfg, Architecture::A1, s)).makespan_s;
             assert!(
                 (bespoke - via_runtime).abs() / bespoke < 0.01,
                 "s={}: arch {} vs runtime {}",
@@ -1090,7 +864,7 @@ mod tests {
     #[test]
     fn oversized_input_is_a_typed_error() {
         let cfg = unpadded(4);
-        let err = run_through_runtime(&cfg, Architecture::A3, 5).unwrap_err();
+        let err = ExecPlan::lower(&cfg, Architecture::A3, 5, 1, cfg.integrity).unwrap_err();
         assert!(matches!(err, AccelError::InvalidInput { .. }), "{}", err);
     }
 
@@ -1098,10 +872,15 @@ mod tests {
     fn zero_fault_recovery_is_bit_identical_to_fault_free() {
         for arch in [Architecture::A1, Architecture::A2, Architecture::A3] {
             let cfg = unpadded(8);
-            let (rt, total) = run_through_runtime(&cfg, arch, 8).unwrap();
-            let run =
-                run_with_recovery(&cfg, arch, 8, FaultPlan::none(), &RecoveryPolicy::default())
-                    .unwrap();
+            let BatchRun { runtime: rt, makespan_s: total, .. } =
+                run_plan(&cfg, &solo(&cfg, arch, 8));
+            let run = run_plan_with_recovery(
+                &cfg,
+                &solo(&cfg, arch, 8),
+                FaultPlan::none(),
+                &RecoveryPolicy::default(),
+            )
+            .unwrap();
             assert_eq!(rt.timeline().spans(), run.runtime.timeline().spans());
             assert_eq!(total.to_bits(), run.makespan_s.to_bits());
             assert_eq!(run.final_arch, arch);
@@ -1115,8 +894,13 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 2 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 8),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.retries, 2);
         assert!(run.makespan_s.is_finite());
         assert!(run.makespan_s >= run.nominal_s, "faults cannot speed a run up");
@@ -1129,8 +913,14 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 99 });
-        let err = run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 8),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         assert!(matches!(err, AccelError::Unrecoverable { .. }), "{}", err);
     }
 
@@ -1143,9 +933,14 @@ mod tests {
         let cfg = unpadded(4);
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 4, plan, &RecoveryPolicy::default()).unwrap();
-        let (_, a2) = run_through_runtime(&cfg, Architecture::A2, 4).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 4),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        let a2 = run_plan(&cfg, &solo(&cfg, Architecture::A2, 4)).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
         assert!(
             (run.makespan_s - a2).abs() / a2 < 0.01,
@@ -1164,10 +959,15 @@ mod tests {
         let cfg = unpadded(4);
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 4 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 4, plan, &RecoveryPolicy::default()).unwrap();
-        let (_, a2) = run_through_runtime(&cfg, Architecture::A2, 4).unwrap();
-        let (_, a3) = run_through_runtime(&cfg, Architecture::A3, 4).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 4),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        let a2 = run_plan(&cfg, &solo(&cfg, Architecture::A2, 4)).makespan_s;
+        let a3 = run_plan(&cfg, &solo(&cfg, Architecture::A3, 4)).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
         assert!(run.makespan_s >= a3 - 1e-12, "{} vs A3 {}", run.makespan_s, a3);
         assert!(run.makespan_s <= a2 * 1.01, "{} vs A2 {}", run.makespan_s, a2);
@@ -1179,13 +979,18 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 2 })
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 2 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 4, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 4),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.final_arch, Architecture::A1);
         // A1 without overlap is no faster than the bespoke A1 simulation
         // minus its first-fill (loose sanity bound), and certainly slower
         // than fault-free A3.
-        let (_, a3) = run_through_runtime(&cfg, Architecture::A3, 4).unwrap();
+        let a3 = run_plan(&cfg, &solo(&cfg, Architecture::A3, 4)).makespan_s;
         assert!(
             run.makespan_s > a3,
             "A1 fallback {} must cost more than A3 {}",
@@ -1198,8 +1003,13 @@ mod tests {
     fn slr_loss_halves_the_pool_and_relaunches() {
         let cfg = unpadded(8);
         let plan = FaultPlan::none().with(FaultKind::SlrDropout { slr: 1, from_command: 3 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 8),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.dead_slr, Some(1));
         assert!(run.makespan_s > run.nominal_s, "halved pool must cost latency");
         // every kernel from the dropout onward runs on SLR0
@@ -1216,7 +1026,9 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
         let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
-        let err = run_with_recovery(&cfg, Architecture::A3, 4, plan, &policy).unwrap_err();
+        let err = run_plan_with_recovery(&cfg, &solo(&cfg, Architecture::A3, 4), plan, &policy)
+            .unwrap_err()
+            .error;
         assert!(matches!(err, AccelError::Unrecoverable { .. }), "{}", err);
     }
 
@@ -1246,9 +1058,14 @@ mod tests {
             let plan = FaultPlan::none()
                 .with(FaultKind::SlrDropout { slr: a, from_command: 0 })
                 .with(FaultKind::SlrDropout { slr: b, from_command: 2 });
-            let err =
-                run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-                    .unwrap_err();
+            let err = run_plan_with_recovery(
+                &cfg,
+                &solo(&cfg, Architecture::A3, 8),
+                plan,
+                &RecoveryPolicy::default(),
+            )
+            .unwrap_err()
+            .error;
             assert!(
                 matches!(err, AccelError::Unrecoverable { .. }),
                 "slr order {}/{}: {}",
@@ -1287,8 +1104,14 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE1".into(), failing_attempts: u32::MAX });
-        let err = run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 8),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         match err {
             AccelError::Unrecoverable { at_s, attempts, .. } => {
                 assert!(at_s.is_finite() && at_s > 0.0, "failure time {}", at_s);
@@ -1303,14 +1126,13 @@ mod tests {
         let cfg = unpadded(8);
         for arch in [Architecture::A1, Architecture::A2, Architecture::A3] {
             for seed in 0..12u64 {
-                let run = run_with_recovery(
+                let run = run_plan_with_recovery(
                     &cfg,
-                    arch,
-                    8,
+                    &solo(&cfg, arch, 8),
                     FaultPlan::seeded(seed),
                     &RecoveryPolicy::default(),
                 )
-                .unwrap_or_else(|e| panic!("{} seed {}: {}", arch.name(), seed, e));
+                .unwrap_or_else(|f| panic!("{} seed {}: {}", arch.name(), seed, f.error));
                 assert!(run.makespan_s.is_finite());
                 assert!(run.makespan_s >= run.nominal_s - 1e-12);
             }
@@ -1329,8 +1151,13 @@ mod tests {
         let cfg = unpadded(8); // integrity off by default
         let plan = FaultPlan::seeded_with(3, &FaultProfile::silent_only());
         assert!(plan.has_silent_faults());
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 8),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         // Nobody asks, nobody pays: timing is exactly nominal, but the
         // corruption went straight into compute.
         assert!((run.makespan_s - run.nominal_s).abs() < 1e-12);
@@ -1349,8 +1176,13 @@ mod tests {
             bit: 7,
             failing_attempts: 2,
         });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 8),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.corruption.injected, 2);
         assert_eq!(run.corruption.detected, 2);
         assert_eq!(run.corruption.refetched, 2);
@@ -1370,8 +1202,14 @@ mod tests {
             bit: 0,
             failing_attempts: u32::MAX,
         });
-        let err = run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, 8),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         match err {
             AccelError::CorruptWeights { attempts, at_s, .. } => {
                 assert_eq!(attempts, RecoveryPolicy::default().max_attempts);
@@ -1386,15 +1224,24 @@ mod tests {
         use asr_systolic::abft::IntegrityLevel;
         let plan = || FaultPlan::none().with(FaultKind::PsaStickyLane { lane: 9, delta: 1.0 });
         let detect = unpadded_at(8, IntegrityLevel::Detect);
-        let err =
-            run_with_recovery(&detect, Architecture::A3, 8, plan(), &RecoveryPolicy::default())
-                .unwrap_err();
+        let err = run_plan_with_recovery(
+            &detect,
+            &solo(&detect, Architecture::A3, 8),
+            plan(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         assert!(matches!(err, AccelError::CorruptCompute { .. }), "{}", err);
 
         let recompute = unpadded_at(8, IntegrityLevel::DetectAndRecompute);
-        let run =
-            run_with_recovery(&recompute, Architecture::A3, 8, plan(), &RecoveryPolicy::default())
-                .unwrap();
+        let run = run_plan_with_recovery(
+            &recompute,
+            &solo(&recompute, Architecture::A3, 8),
+            plan(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.corruption.recomputed, 1);
         assert_eq!(run.corruption.escaped, 0);
         assert!(run.makespan_s > run.nominal_s, "recomputed tiles must cost PSA cycles");
@@ -1413,11 +1260,11 @@ mod tests {
             [IntegrityLevel::Off, IntegrityLevel::Detect, IntegrityLevel::DetectAndRecompute]
         {
             let cfg = unpadded_at(8, level);
-            let (rt, total) = run_through_runtime(&cfg, Architecture::A3, 8).unwrap();
-            let run = run_with_recovery(
+            let BatchRun { runtime: rt, makespan_s: total, .. } =
+                run_plan(&cfg, &solo(&cfg, Architecture::A3, 8));
+            let run = run_plan_with_recovery(
                 &cfg,
-                Architecture::A3,
-                8,
+                &solo(&cfg, Architecture::A3, 8),
                 FaultPlan::none(),
                 &RecoveryPolicy::default(),
             )
@@ -1442,9 +1289,13 @@ mod tests {
         let cfg = unpadded_at(8, IntegrityLevel::DetectAndRecompute);
         for seed in 0..12u64 {
             let plan = FaultPlan::seeded_with(seed, &FaultProfile::silent_only());
-            let run =
-                run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-                    .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
+            let run = run_plan_with_recovery(
+                &cfg,
+                &solo(&cfg, Architecture::A3, 8),
+                plan,
+                &RecoveryPolicy::default(),
+            )
+            .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.corruption.injected > 0, "seed {}", seed);
             assert_eq!(run.corruption.escaped, 0, "seed {}: nothing may escape", seed);
             assert_eq!(run.corruption.detected, run.corruption.injected, "seed {}", seed);
@@ -1462,11 +1313,9 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let failure = run_batch_with_recovery(
+        let failure = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            2,
+            &ExecPlan::lower(&cfg, Architecture::A2, 8, 2, cfg.integrity).unwrap(),
             faults,
             &RecoveryPolicy::default(),
         )
@@ -1477,15 +1326,18 @@ mod tests {
         assert!(failure.stats.failed > 0, "dead attempts feed the health stats");
 
         // Failover target: resume cross-device (no trust), clean card.
-        let resumed =
-            resume_batch(&cfg, ckpt, false, FaultPlan::none(), &RecoveryPolicy::default()).unwrap();
+        let resumed = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, ckpt, false).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(resumed.utterance_finish_s.len(), 2, "both utterances served, exactly once");
         assert_eq!(resumed.checkpoints, 6, "only the six decoder phases replay");
-        let full = run_batch_with_recovery(
+        let full = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            2,
+            &ExecPlan::lower(&cfg, Architecture::A2, 8, 2, cfg.integrity).unwrap(),
             FaultPlan::none(),
             &RecoveryPolicy::default(),
         )
@@ -1502,11 +1354,9 @@ mod tests {
         let cfg = unpadded(8);
         let first = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let f1 = run_batch_with_recovery(
+        let f1 = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            2,
+            &ExecPlan::lower(&cfg, Architecture::A2, 8, 2, cfg.integrity).unwrap(),
             first,
             &RecoveryPolicy::default(),
         )
@@ -1515,7 +1365,13 @@ mod tests {
 
         let second = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
-        let f2 = resume_batch(&cfg, &c1, false, second, &RecoveryPolicy::default()).unwrap_err();
+        let f2 = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &c1, false).unwrap(),
+            second,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err();
         let c2 = f2.checkpoint.unwrap();
         assert!(
             c2.completed_phases > c1.completed_phases,
@@ -1525,8 +1381,13 @@ mod tests {
         );
         assert_eq!(c2.remaining_lens().len() + f2.finished_s.len(), 2, "no utterance dropped");
 
-        let done =
-            resume_batch(&cfg, &c2, false, FaultPlan::none(), &RecoveryPolicy::default()).unwrap();
+        let done = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &c2, false).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(
             done.utterance_finish_s.len() + f2.finished_s.len() + f1.finished_s.len(),
             2,
@@ -1539,21 +1400,29 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::KernelHang { label: "CD2".into(), failing_attempts: u32::MAX });
-        let failure = run_batch_with_recovery(
+        let failure = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            1,
+            &ExecPlan::lower(&cfg, Architecture::A2, 8, 1, cfg.integrity).unwrap(),
             faults,
             &RecoveryPolicy::default(),
         )
         .unwrap_err();
         let ckpt = failure.checkpoint.unwrap();
         assert!(failure.stats.timed_out > 0, "watchdog kills are recorded in the stats");
-        let same =
-            resume_batch(&cfg, &ckpt, true, FaultPlan::none(), &RecoveryPolicy::default()).unwrap();
-        let other = resume_batch(&cfg, &ckpt, false, FaultPlan::none(), &RecoveryPolicy::default())
-            .unwrap();
+        let same = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &ckpt, true).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        let other = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &ckpt, false).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert!(
             same.loads_issued < other.loads_issued,
             "same-device trust re-fetches strictly fewer stripes ({} vs {})",
@@ -1577,8 +1446,10 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         let capped = RecoveryPolicy { max_backoff_s: 2e-3, ..slow.clone() };
-        let a = run_with_recovery(&cfg, Architecture::A3, 8, faults(), &slow).unwrap();
-        let b = run_with_recovery(&cfg, Architecture::A3, 8, faults(), &capped).unwrap();
+        let a = run_plan_with_recovery(&cfg, &solo(&cfg, Architecture::A3, 8), faults(), &slow)
+            .unwrap();
+        let b = run_plan_with_recovery(&cfg, &solo(&cfg, Architecture::A3, 8), faults(), &capped)
+            .unwrap();
         assert!(
             b.makespan_s < a.makespan_s,
             "capped backoff must finish sooner: {} vs {}",
@@ -1592,17 +1463,22 @@ mod tests {
     fn seeded_plans_always_complete() {
         let cfg = unpadded(8);
         for seed in 0..24u64 {
-            let run = run_with_recovery(
+            let run = run_plan_with_recovery(
                 &cfg,
-                Architecture::A3,
-                8,
+                &solo(&cfg, Architecture::A3, 8),
                 FaultPlan::seeded(seed),
                 &RecoveryPolicy::default(),
             )
-            .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
+            .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.makespan_s.is_finite(), "seed {}", seed);
             assert!(run.makespan_s >= run.nominal_s - 1e-12, "seed {}", seed);
         }
+    }
+
+    /// Lower one streaming chunk's plan over an 8-step window against the
+    /// stripes a previous chunk left pinned.
+    fn chunk_plan(cfg: &AccelConfig, arch: Architecture, resident: &[ResidentStripe]) -> ExecPlan {
+        PlanBuilder::new(cfg, arch).utterances(&[8]).reuse_resident(resident).build().unwrap()
     }
 
     #[test]
@@ -1610,18 +1486,22 @@ mod tests {
         let cfg = unpadded(8);
         let policy = RecoveryPolicy::default();
         for arch in [Architecture::A2, Architecture::A3] {
-            let cold = run_stream_chunk(&cfg, arch, 8, &[], 4, FaultPlan::none(), &policy).unwrap();
-            assert_eq!(cold.reuse, None, "a cold first chunk has nothing to elide");
-            assert_eq!(cold.pinned.len(), 4);
+            let cold_plan = chunk_plan(&cfg, arch, &[]);
+            let cold_pinned = cold_plan.pinned_stripes(4);
+            let cold =
+                run_plan_with_recovery(&cfg, &cold_plan, FaultPlan::none(), &policy).unwrap();
+            assert_eq!(cold_plan.reuse, None, "a cold first chunk has nothing to elide");
+            assert_eq!(cold_pinned.len(), 4);
 
-            let warm = run_stream_chunk(&cfg, arch, 8, &cold.pinned, 4, FaultPlan::none(), &policy)
-                .unwrap();
-            let reuse = warm.reuse.expect("warm chunk carries reuse accounting");
+            let warm_plan = chunk_plan(&cfg, arch, &cold_pinned);
+            let warm =
+                run_plan_with_recovery(&cfg, &warm_plan, FaultPlan::none(), &policy).unwrap();
+            let reuse = warm_plan.reuse.expect("warm chunk carries reuse accounting");
             assert_eq!(reuse.elided_loads, 4, "{:?}", arch);
             assert_eq!(reuse.stale, 0);
             // The acceptance floor: a warm chunk elides at least the
             // double-buffered stripe set's bytes (two phases deep).
-            let double_buffered: u64 = cold.pinned.iter().take(2).map(|p| p.bytes).sum();
+            let double_buffered: u64 = cold_pinned.iter().take(2).map(|p| p.bytes).sum();
             assert!(
                 reuse.elided_load_bytes >= double_buffered,
                 "{:?}: elided {} < double-buffered set {}",
@@ -1630,14 +1510,14 @@ mod tests {
                 double_buffered
             );
             assert!(
-                warm.run.makespan_s <= cold.run.makespan_s + 1e-12,
+                warm.makespan_s <= cold.makespan_s + 1e-12,
                 "{:?}: warm {} > cold {}",
                 arch,
-                warm.run.makespan_s,
-                cold.run.makespan_s
+                warm.makespan_s,
+                cold.makespan_s
             );
-            assert!(warm.run.loads_issued < cold.run.loads_issued);
-            assert_eq!(warm.scheduled_load_bytes, cold.scheduled_load_bytes);
+            assert!(warm.loads_issued < cold.loads_issued);
+            assert_eq!(warm_plan.scheduled_load_bytes(), cold_plan.scheduled_load_bytes());
         }
     }
 
@@ -1648,12 +1528,10 @@ mod tests {
         // gets the same makespan a clean run would have.
         let cfg = unpadded(8);
         let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
-        let fail = run_stream_chunk(
+        let plan = chunk_plan(&cfg, Architecture::A2, &[]);
+        let fail = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            &[],
-            4,
+            &plan,
             FaultPlan::none()
                 .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 6 }),
             &policy,
@@ -1663,17 +1541,10 @@ mod tests {
         // Replay the whole chunk cold on a healthy device — the stream's
         // carryover state lives above this layer, so a full chunk replay
         // is always safe.
-        let replay = run_stream_chunk(
-            &cfg,
-            Architecture::A2,
-            8,
-            &[],
-            4,
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(replay.run.retries, 0);
+        let replay =
+            run_plan_with_recovery(&cfg, &plan, FaultPlan::none(), &RecoveryPolicy::default())
+                .unwrap();
+        assert_eq!(replay.retries, 0);
     }
 
     // -- decode-step execution ---------------------------------------------
@@ -1681,55 +1552,53 @@ mod tests {
     #[test]
     fn steady_decode_step_executes_faster_and_fetches_less_than_the_cold_step() {
         let cfg = unpadded(8);
-        let spec0 = crate::plan::DecodeStepSpec::greedy(0, 8, 8);
-        let cold = run_decode_step(
-            &cfg,
-            Architecture::A2,
-            spec0,
-            &[],
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert!(cold.run.makespan_s > 0.0);
-        assert!(!cold.pinned.is_empty(), "the cold step must pin its stripes");
-        assert_eq!(cold.fetched_load_bytes, cold.scheduled_load_bytes);
+        let spec0 = DecodeStepSpec::greedy(0, 8, 8);
+        let cold_plan =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec0, &[], cfg.integrity).unwrap();
+        let cold_pinned = cold_plan.decode_pinned_stripes();
+        let cold =
+            run_plan_with_recovery(&cfg, &cold_plan, FaultPlan::none(), &RecoveryPolicy::default())
+                .unwrap();
+        assert!(cold.makespan_s > 0.0);
+        assert!(!cold_pinned.is_empty(), "the cold step must pin its stripes");
+        assert_eq!(cold_plan.fetched_load_bytes(), cold_plan.scheduled_load_bytes());
 
-        let spec1 = crate::plan::DecodeStepSpec::greedy(1, 8, 8);
-        let steady = run_decode_step(
+        let spec1 = DecodeStepSpec::greedy(1, 8, 8);
+        let steady_plan =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec1, &cold_pinned, cfg.integrity)
+                .unwrap();
+        let steady = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            spec1,
-            &cold.pinned,
+            &steady_plan,
             FaultPlan::none(),
             &RecoveryPolicy::default(),
         )
         .unwrap();
-        let reuse = steady.reuse.expect("steady step lowers against residents");
+        let reuse = steady_plan.reuse.expect("steady step lowers against residents");
         assert!(reuse.elided_loads > 0, "steady step must elide pinned loads");
         assert!(
-            steady.fetched_load_bytes * 2 < steady.scheduled_load_bytes,
+            steady_plan.fetched_load_bytes() * 2 < steady_plan.scheduled_load_bytes(),
             "steady fetch {} vs scheduled {}",
-            steady.fetched_load_bytes,
-            steady.scheduled_load_bytes
+            steady_plan.fetched_load_bytes(),
+            steady_plan.scheduled_load_bytes()
         );
         assert!(
-            steady.run.makespan_s < cold.run.makespan_s,
+            steady.makespan_s < cold.makespan_s,
             "steady {} vs cold {}",
-            steady.run.makespan_s,
-            cold.run.makespan_s
+            steady.makespan_s,
+            cold.makespan_s
         );
     }
 
     #[test]
     fn faulted_decode_step_recovers_with_the_batch_ladder() {
         let cfg = unpadded(8);
-        let spec = crate::plan::DecodeStepSpec::greedy(0, 8, 8);
+        let spec = DecodeStepSpec::greedy(0, 8, 8);
         let faults = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "KV".into(), failing_attempts: 1 });
-        let run =
-            run_decode_step(&cfg, Architecture::A2, spec, &[], faults, &RecoveryPolicy::default())
-                .unwrap();
-        assert!(run.run.retries >= 1, "the transient fault must be retried");
+        let plan =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec, &[], cfg.integrity).unwrap();
+        let run = run_plan_with_recovery(&cfg, &plan, faults, &RecoveryPolicy::default()).unwrap();
+        assert!(run.retries >= 1, "the transient fault must be retried");
     }
 }

@@ -1,6 +1,6 @@
 //! Silent-data-corruption defense: the functional half of DESIGN.md §9.
 //!
-//! The timing path ([`crate::host_runtime::run_with_recovery`]) charges the
+//! The timing path ([`crate::host_runtime::run_plan_with_recovery`]) charges the
 //! latency of CRC refetches and ABFT recomputes; this module carries the
 //! *data*. It loads a model stripe by stripe through the CRC envelope
 //! ([`asr_transformer::weights::WeightStripe`]), applies a fault plan's
@@ -337,22 +337,6 @@ pub fn load_model_with_faults_encoded(
     Ok(loaded)
 }
 
-/// Outcome of a functional integrity run.
-#[derive(Debug, Clone)]
-pub struct IntegrityRun {
-    /// Corruption accounting (stripe fetches + PSA tiles).
-    pub counters: CorruptionCounters,
-    /// The ABFT engine's tile-level statistics.
-    pub abft: AbftStats,
-    /// Final encoder-stack output.
-    pub encoder_out: Matrix,
-    /// Final decoder-stack output.
-    pub decoder_out: Matrix,
-    /// Greedy per-step transcript: argmax token of each decoder row through
-    /// the host-side classifier head (`out_proj` + `out_bias`).
-    pub transcript: Vec<usize>,
-}
-
 /// Per-utterance outputs of a batched functional run.
 #[derive(Debug, Clone)]
 pub struct UtteranceRun {
@@ -397,72 +381,6 @@ fn transcript_of(w: &ModelWeights, decoder_out: &Matrix) -> Vec<usize> {
             best
         })
         .collect()
-}
-
-/// Run the full functional pipeline — CRC-enveloped weight load, encoder
-/// stack through the MM1–MM6 schemes, decoder stack — on an ABFT-checked
-/// PSA, at the config's [`IntegrityLevel`].
-///
-/// Deterministic in `(cfg, model_seed, input_len, faults)`: two calls with
-/// equal inputs produce bit-identical outputs, which is what the
-/// bit-identity acceptance tests compare across levels.
-pub fn run_functional(
-    cfg: &AccelConfig,
-    model_seed: u64,
-    input_len: usize,
-    faults: &FunctionalFaults,
-) -> Result<IntegrityRun> {
-    run_functional_with_input(cfg, model_seed, model_seed ^ 0x5eed, input_len, faults)
-}
-
-/// [`run_functional`] with the input features seeded independently of the
-/// model — the solo half of the batch-vs-solo bit-identity tests, where the
-/// same `input_seed` must transcribe identically alone and inside a batch.
-pub fn run_functional_with_input(
-    cfg: &AccelConfig,
-    model_seed: u64,
-    input_seed: u64,
-    input_len: usize,
-    faults: &FunctionalFaults,
-) -> Result<IntegrityRun> {
-    let batch = run_functional_batch(cfg, model_seed, &[input_seed], input_len, faults)?;
-    let BatchIntegrityRun { counters, abft, mut utterances } = batch;
-    let u = utterances.pop().expect("batch of one");
-    Ok(IntegrityRun {
-        counters,
-        abft,
-        encoder_out: u.encoder_out,
-        decoder_out: u.decoder_out,
-        transcript: u.transcript,
-    })
-}
-
-/// The batched functional pipeline: load the model **once** through the CRC
-/// envelope, then run every utterance through the encoder stack layer-major
-/// (all utterances finish layer `l` before any starts `l+1` — the
-/// functional mirror of the timing path's one-`LW`-load-per-batch schedule)
-/// and through the decoder stack per utterance, all on one shared
-/// ABFT-checked PSA.
-///
-/// Each utterance's outputs are bit-identical to a solo
-/// [`run_functional_with_input`] with the same `input_seed`: weights are
-/// read-only, and the checked PSA applies its fault statelessly per matmul,
-/// so batching cannot change any utterance's bits. The *counters* are one
-/// batch's worth: stripe corruptions are injected (and scrubbed) once per
-/// batch, not once per utterance — that is the amortization this PR pins.
-pub fn run_functional_batch(
-    cfg: &AccelConfig,
-    model_seed: u64,
-    input_seeds: &[u64],
-    input_len: usize,
-    faults: &FunctionalFaults,
-) -> Result<BatchIntegrityRun> {
-    cfg.validate()?;
-    if input_seeds.is_empty() {
-        return Err(AccelError::Config("batch needs >= 1 utterance".into()));
-    }
-    let plan = ExecPlan::lower(cfg, Architecture::A2, input_len, input_seeds.len(), cfg.integrity)?;
-    run_functional_plan(cfg, &plan, model_seed, input_seeds, faults)
 }
 
 /// Mid-run state of the functional interpreter, cut at a phase barrier —
@@ -607,7 +525,14 @@ fn advance_phases(
 /// The interpreter needs full decoder phases ([`PhaseKind::DecoderFull`]) —
 /// the A3 M-MHA/FFN half-phases are a *timing* split with no functional
 /// seam — so lower the plan at [`Architecture::A1`]/[`Architecture::A2`]
-/// granularity (as [`run_functional_batch`] does); half-phases fail typed.
+/// granularity; half-phases fail typed.
+///
+/// Each utterance's outputs are bit-identical to a solo run with the same
+/// input seed: weights are read-only, and the checked PSA applies its
+/// fault statelessly per matmul, so batching cannot change any utterance's
+/// bits. The *counters* are one batch's worth: stripe corruptions are
+/// injected (and scrubbed) once per batch, not once per utterance.
+/// Deterministic in `(cfg, plan, model_seed, input_seeds, faults)`.
 pub fn run_functional_plan(
     cfg: &AccelConfig,
     plan: &ExecPlan,
@@ -689,6 +614,7 @@ fn functional_epilogue(
             .map(|_| w.embedding.submatrix(0, 0, steps, w.embedding.cols()))
             .collect();
     }
+    let abft = fold_abft(plan.integrity, engine, counters, "forward")?;
     let utterances = cursor
         .xs
         .into_iter()
@@ -698,25 +624,6 @@ fn functional_epilogue(
             UtteranceRun { encoder_out, decoder_out: y, transcript }
         })
         .collect::<Vec<_>>();
-
-    let abft = engine.stats();
-    counters.injected += abft.corrupted_tiles;
-    match plan.integrity {
-        IntegrityLevel::Off => counters.escaped += abft.corrupted_tiles,
-        IntegrityLevel::Detect => {
-            counters.detected += abft.detected;
-            if abft.detected > 0 {
-                return Err(AccelError::CorruptCompute {
-                    phase: "forward".into(),
-                    tiles: abft.detected,
-                });
-            }
-        }
-        IntegrityLevel::DetectAndRecompute => {
-            counters.detected += abft.detected;
-            counters.recomputed += abft.recomputed;
-        }
-    }
     Ok(BatchIntegrityRun { counters: *counters, abft, utterances })
 }
 
@@ -1063,10 +970,11 @@ fn drive_functional_stream(
     Ok((out, state, chunks))
 }
 
-/// Fold the engine's ABFT statistics into the counters under `level`,
-/// mirroring the batch path's epilogue semantics (typed failure at
-/// `Detect`, recompute accounting at `DetectAndRecompute`).
-fn fold_stream_abft(
+/// Fold the engine's ABFT statistics into the counters under `level`:
+/// corrupted tiles escape at `Off`, fail typed at `Detect` (the error names
+/// `phase`), and count as recomputed at `DetectAndRecompute`. Shared by the
+/// plan, stream and decode interpreters.
+fn fold_abft(
     level: IntegrityLevel,
     engine: &CheckedPsa,
     counters: &mut CorruptionCounters,
@@ -1134,7 +1042,7 @@ pub fn resume_functional_stream(
     let start_row = state.emitted_rows;
     let (encoder_out, final_state, chunks) =
         drive_functional_stream(cfg, &plan, &w, &engine, state.clone(), features)?;
-    let abft = fold_stream_abft(cfg.integrity, &engine, &mut counters, "stream")?;
+    let abft = fold_abft(cfg.integrity, &engine, &mut counters, "stream")?;
     Ok(FunctionalStreamRun { encoder_out, start_row, chunks, counters, abft, final_state })
 }
 
@@ -1300,7 +1208,7 @@ pub fn run_functional_decode(
     }
     beams.sort_by(|a, b| b.0.score(0.0).partial_cmp(&a.0.score(0.0)).unwrap());
 
-    let abft = fold_stream_abft(cfg.integrity, &engine, &mut counters, "decode")?;
+    let abft = fold_abft(cfg.integrity, &engine, &mut counters, "decode")?;
     let hypotheses: Vec<Hypothesis> = beams.into_iter().map(|(h, _)| h).collect();
     let tokens = hypotheses[0].tokens.clone();
     Ok(FunctionalDecodeRun {
@@ -1342,6 +1250,18 @@ mod tests {
         let mut c = small_config();
         c.integrity = level;
         c
+    }
+
+    /// Interpret a solo A2 plan whose input features are seeded from the
+    /// model seed (`model_seed ^ 0x5eed`).
+    fn solo(
+        cfg: &AccelConfig,
+        model_seed: u64,
+        input_len: usize,
+        faults: &FunctionalFaults,
+    ) -> Result<BatchIntegrityRun> {
+        let plan = ExecPlan::lower(cfg, Architecture::A2, input_len, 1, cfg.integrity)?;
+        run_functional_plan(cfg, &plan, model_seed, &[model_seed ^ 0x5eed], faults)
     }
 
     #[test]
@@ -1421,11 +1341,11 @@ mod tests {
             }],
             lane: None,
         };
-        let dense = run_functional(&dense_cfg, 11, 6, &faults).unwrap();
-        let sparse = run_functional(&sparse_cfg, 11, 6, &faults).unwrap();
-        assert_eq!(dense.encoder_out, sparse.encoder_out);
-        assert_eq!(dense.decoder_out, sparse.decoder_out);
-        assert_eq!(dense.transcript, sparse.transcript);
+        let dense = solo(&dense_cfg, 11, 6, &faults).unwrap();
+        let sparse = solo(&sparse_cfg, 11, 6, &faults).unwrap();
+        assert_eq!(dense.utterances[0].encoder_out, sparse.utterances[0].encoder_out);
+        assert_eq!(dense.utterances[0].decoder_out, sparse.utterances[0].decoder_out);
+        assert_eq!(dense.utterances[0].transcript, sparse.utterances[0].transcript);
         assert_eq!(sparse.counters.injected, 1);
         assert_eq!(sparse.counters.refetched, 1);
     }
@@ -1563,12 +1483,19 @@ mod tests {
     fn zero_fault_runs_are_bit_identical_across_all_levels() {
         // Satellite (c): Detect and DetectAndRecompute under an empty fault
         // plan are bit-identical to Off — the checks are pure observers.
-        let base =
-            run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
+        let base = solo(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
         for level in [IntegrityLevel::Detect, IntegrityLevel::DetectAndRecompute] {
-            let run = run_functional(&cfg_at(level), 11, 4, &FunctionalFaults::none()).unwrap();
-            assert_eq!(run.encoder_out, base.encoder_out, "{:?}", level);
-            assert_eq!(run.decoder_out, base.decoder_out, "{:?}", level);
+            let run = solo(&cfg_at(level), 11, 4, &FunctionalFaults::none()).unwrap();
+            assert_eq!(
+                run.utterances[0].encoder_out, base.utterances[0].encoder_out,
+                "{:?}",
+                level
+            );
+            assert_eq!(
+                run.utterances[0].decoder_out, base.utterances[0].decoder_out,
+                "{:?}",
+                level
+            );
             assert_eq!(run.counters, CorruptionCounters::default(), "{:?}", level);
             assert!(run.abft.checked_tiles > 0, "{:?} must actually check", level);
         }
@@ -1580,17 +1507,21 @@ mod tests {
         // The PR's acceptance criterion, end to end: a seeded plan with all
         // three silent-fault classes; DetectAndRecompute restores the
         // zero-fault bits with nothing escaped, Off silently diverges.
-        let clean =
-            run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
+        let clean = solo(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
         let seed = 7u64;
         let n_stripes = ModelWeights::seeded(&small_config().model, 11).matrices().len();
         let faults = FunctionalFaults::seeded(seed, n_stripes, small_config().psa.cols);
         assert!(!faults.is_empty(), "seed must draw silent faults");
 
-        let protected =
-            run_functional(&cfg_at(IntegrityLevel::DetectAndRecompute), 11, 4, &faults).unwrap();
-        assert_eq!(protected.encoder_out, clean.encoder_out, "encoder bits must match");
-        assert_eq!(protected.decoder_out, clean.decoder_out, "decoder bits must match");
+        let protected = solo(&cfg_at(IntegrityLevel::DetectAndRecompute), 11, 4, &faults).unwrap();
+        assert_eq!(
+            protected.utterances[0].encoder_out, clean.utterances[0].encoder_out,
+            "encoder bits must match"
+        );
+        assert_eq!(
+            protected.utterances[0].decoder_out, clean.utterances[0].decoder_out,
+            "decoder bits must match"
+        );
         assert!(protected.counters.any_injected());
         assert_eq!(protected.counters.escaped, 0, "nothing may escape at DetectAndRecompute");
         assert_eq!(
@@ -1599,11 +1530,11 @@ mod tests {
             "every detection is answered by a refetch or a recompute"
         );
 
-        let unprotected = run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &faults).unwrap();
+        let unprotected = solo(&cfg_at(IntegrityLevel::Off), 11, 4, &faults).unwrap();
         assert!(unprotected.counters.escaped > 0);
         assert!(
-            unprotected.encoder_out != clean.encoder_out
-                || unprotected.decoder_out != clean.decoder_out,
+            unprotected.utterances[0].encoder_out != clean.utterances[0].encoder_out
+                || unprotected.utterances[0].decoder_out != clean.utterances[0].decoder_out,
             "Off must demonstrably diverge"
         );
     }
@@ -1663,14 +1594,12 @@ mod tests {
     fn detect_without_recompute_fails_typed_on_compute_corruption() {
         let faults =
             FunctionalFaults { stripes: vec![], lane: Some(LaneFault { lane: 3, delta: 1.5 }) };
-        let err = run_functional(&cfg_at(IntegrityLevel::Detect), 11, 4, &faults).unwrap_err();
+        let err = solo(&cfg_at(IntegrityLevel::Detect), 11, 4, &faults).unwrap_err();
         assert!(matches!(err, AccelError::CorruptCompute { .. }), "{}", err);
         // ...while recompute survives the same fault bit-identically.
-        let clean =
-            run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
-        let repaired =
-            run_functional(&cfg_at(IntegrityLevel::DetectAndRecompute), 11, 4, &faults).unwrap();
-        assert_eq!(repaired.decoder_out, clean.decoder_out);
+        let clean = solo(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
+        let repaired = solo(&cfg_at(IntegrityLevel::DetectAndRecompute), 11, 4, &faults).unwrap();
+        assert_eq!(repaired.utterances[0].decoder_out, clean.utterances[0].decoder_out);
         assert!(repaired.abft.recomputed > 0);
     }
 
@@ -1687,9 +1616,9 @@ mod tests {
         let features = stream_features(7 ^ 0x5eed, 8);
         let stream =
             run_functional_stream(&cfg, 7, &features, 8, 0, &FunctionalFaults::none()).unwrap();
-        let offline = run_functional(&cfg, 7, 8, &FunctionalFaults::none()).unwrap();
+        let offline = solo(&cfg, 7, 8, &FunctionalFaults::none()).unwrap();
         assert_eq!(stream.chunks, 1);
-        assert_eq!(stream.encoder_out, offline.encoder_out);
+        assert_eq!(stream.encoder_out, offline.utterances[0].encoder_out);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod stream;
 pub mod sweep;
 pub mod verify;
 
-pub use arch::{simulate_batch, ArchResult, Architecture};
+pub use arch::{ArchResult, Architecture};
 pub use cluster::{
     Cluster, ClusterConfig, ClusterReport, NodeFault, NodeSummary, TrafficTrace, UpgradeConfig,
     UpgradeOutcome,
@@ -67,14 +67,12 @@ pub use error::AccelError;
 pub use exec::SystolicBackend;
 pub use host::HostController;
 pub use host_runtime::{
-    resume_batch, run_batch_through_runtime, run_batch_with_recovery, run_decode_step, run_plan,
-    run_plan_with_recovery, run_with_recovery, BatchFailure, BatchRun, BatchedRun, DecodeStepRun,
-    FaultedRun, RecoveryPolicy,
+    run_plan, run_plan_with_recovery, BatchFailure, BatchRun, BatchedRun, RecoveryPolicy,
 };
 pub use integrity::{
-    functional_checkpoint_at, resume_functional_plan, run_functional_batch, run_functional_decode,
-    run_functional_plan, BatchIntegrityRun, CorruptionCounters, FunctionalCheckpoint,
-    FunctionalDecodeRun, FunctionalFaults, IntegrityRun, UtteranceRun,
+    functional_checkpoint_at, resume_functional_plan, run_functional_decode, run_functional_plan,
+    BatchIntegrityRun, CorruptionCounters, FunctionalCheckpoint, FunctionalDecodeRun,
+    FunctionalFaults, UtteranceRun,
 };
 pub use plan::{
     decode_analytics, walk_cost, DecodeAnalytics, DecodeStepSpec, ExecPlan, PlanBuilder,

@@ -1,16 +1,16 @@
 //! The lowered execution-plan IR: one program for solo, batch, and A1/A2/A3.
 //!
-//! Before this module the forward pass existed as six parallel bodies —
-//! `arch::simulate`/`simulate_batch`, the two `host_runtime` entry points and
-//! their `*_with_recovery` twins, and `integrity::run_functional_batch` —
-//! each re-deriving the A1/A2/A3 overlap structure by hand. The paper's own
-//! framing (Figs 4.8–4.11, 4.13) says these are one program: the host lowers
-//! the 18-layer schedule into an explicit stream of load/compute commands
-//! whose *edges* encode the prefetch policy. [`PlanBuilder`] does exactly
-//! that lowering once, and every consumer walks the same [`ExecPlan`]:
+//! Before this module the forward pass existed as six parallel bodies — the
+//! analytic simulator, two runtime entry points and their fault-tolerant
+//! twins, and the functional batch runner — each re-deriving the A1/A2/A3
+//! overlap structure by hand. The paper's own framing (Figs 4.8–4.11, 4.13)
+//! says these are one program: the host lowers the 18-layer schedule into
+//! an explicit stream of load/compute commands whose *edges* encode the
+//! prefetch policy. [`PlanBuilder`] does exactly that lowering once, and
+//! every consumer walks the same [`ExecPlan`]:
 //!
 //! * the **analytic cost walker** ([`walk_cost`]) prices the DAG with the
-//!   bespoke recurrence `arch::simulate_batch` used to hand-roll;
+//!   recurrence the analytic simulator used to hand-roll;
 //! * the **runtime executors** (`host_runtime::run_plan` and
 //!   `host_runtime::run_plan_with_recovery`) replay the commands through the
 //!   OpenCL-style [`asr_fpga_sim::runtime::Runtime`], fault-free or with the
@@ -32,6 +32,12 @@
 //!   edges, decoders split into M-MHA/FFN half-phases whose loads are
 //!   *paired* ([`PlanCmd::LoadStripe::paired_with_prev`], Fig 4.11) so both
 //!   engines fill concurrently.
+//!
+//! The workload's shape is a lowering option, never a separate executor:
+//! batch size and per-utterance lengths ([`PlanBuilder::utterances`]), a
+//! checkpointed suffix ([`PlanBuilder::resume_from`]), resident-stripe
+//! reuse across streaming chunks ([`PlanBuilder::reuse_resident`]) and one
+//! autoregressive decode step ([`PlanBuilder::decode_step`]).
 //!
 //! Solo execution is exactly a batch of one: the lowering emits one
 //! [`PlanCmd::Compute`] per utterance per phase, and a batch-of-one plan's
@@ -507,8 +513,7 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Lower a uniform batch: `batch` utterances of the same `input_len`.
-    /// This is the convenience constructor every thin wrapper uses; see
-    /// [`PlanBuilder`] for per-utterance lengths.
+    /// See [`PlanBuilder`] for per-utterance lengths.
     pub fn lower(
         cfg: &AccelConfig,
         arch: Architecture,
@@ -1319,8 +1324,8 @@ impl PlanCost {
 }
 
 /// The analytic cost walker: price an [`ExecPlan`] with the closed-form
-/// recurrence, producing the same spans the bespoke `arch::simulate_batch`
-/// used to emit (one `LW{label}` span per load, one `C{label}` span per
+/// recurrence, producing the same spans the bespoke per-architecture
+/// simulator used to emit (one `LW{label}` span per load, one `C{label}` span per
 /// phase covering the batch's back-to-back computes).
 ///
 /// The walker derives every start time from the plan's *edges*: a load

@@ -1,8 +1,8 @@
 //! Multi-device serving runtime: admission control, deadlines, circuit
 //! breakers, and failover across a pool of simulated Alveo cards.
 //!
-//! PR 1 made a *single* utterance survive injected faults
-//! ([`crate::host_runtime::run_with_recovery`]). This module adds the
+//! The fault-tolerant executor makes a *single* run survive injected faults
+//! ([`crate::host_runtime::run_plan_with_recovery`]). This module adds the
 //! robustness *between* requests that a production deployment needs (the
 //! serving-tier concerns FTRANS and AccelTran leave to the host):
 //!
@@ -50,7 +50,7 @@ use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::host_runtime::{
-    resume_batch, run_batch_through_runtime, run_batch_with_recovery, RecoveryPolicy,
+    run_plan, run_plan_with_recovery, BatchFailure, BatchedRun, RecoveryPolicy,
 };
 use crate::integrity::CorruptionCounters;
 use crate::plan::{walk_cost, ExecPlan, PlanCheckpoint};
@@ -95,6 +95,33 @@ impl BreakerState {
             BreakerState::HalfOpen => "half-open",
         }
     }
+}
+
+/// Weight a card's routing-health EWMA gives each new observation.
+pub(crate) const HEALTH_SMOOTHING: f64 = 0.2;
+
+/// Fold one dispatch into a card's health EWMA, shared by the serving and
+/// streaming pools: `Some(q)` observes command quality `q` (callers pass
+/// half the dead run's quality for a hard failure), `None` is a failure
+/// with no run behind it, which only decays the score.
+pub(crate) fn update_health(health: &mut f64, observed: Option<f64>) {
+    let keep = 1.0 - HEALTH_SMOOTHING;
+    *health = match observed {
+        Some(q) => keep * *health + HEALTH_SMOOTHING * q,
+        None => keep * *health,
+    };
+}
+
+/// Nearest-rank p50 and p99 of `samples` (0 when empty): sort, then take
+/// index `round((n - 1) * p)`. Every pool report's percentiles come from
+/// here.
+pub(crate) fn p50_p99(mut samples: Vec<f64>) -> (f64, f64) {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let pct = |p: f64| match samples.len() {
+        0 => 0.0,
+        n => samples[((n - 1) as f64 * p).round() as usize],
+    };
+    (pct(0.50), pct(0.99))
 }
 
 /// The per-device breaker state machine, shared with the streaming pool
@@ -213,7 +240,7 @@ pub struct ServeConfig {
     pub attempt_timeout_s: Option<f64>,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Single-run recovery policy handed to `run_with_recovery`.
+    /// Single-run recovery policy handed to `run_plan_with_recovery`.
     pub policy: RecoveryPolicy,
     /// Shutdown grace: queued requests that would start later than
     /// `last arrival + grace` are dropped. `None` drains everything.
@@ -230,6 +257,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
+    /// The plan of one size-`batch` dispatch: every request is padded to
+    /// the built sequence length, so one lowering serves them all.
+    fn dispatch_plan(&self, batch: usize) -> Result<ExecPlan> {
+        let s = self.accel.max_seq_len;
+        ExecPlan::lower(&self.accel, self.arch, s, batch, self.accel.integrity)
+    }
+
     /// A serving setup over `devices` cards at `rps` offered load. The
     /// cards are flashed with the *deployment* build: int8 weights (the
     /// [`crate::quant`] variant — 4× less HBM traffic than the f32 research
@@ -291,7 +325,7 @@ pub enum RequestOutcome {
         latency_s: f64,
         /// Pure service time from batch dispatch to this utterance's last
         /// kernel (at batch 1, bit-identical to the underlying
-        /// `run_with_recovery` makespan).
+        /// `run_plan_with_recovery` makespan).
         service_s: f64,
         /// How many utterances shared the dispatch that served it.
         batch: usize,
@@ -562,6 +596,36 @@ enum BatchOutcome {
     },
 }
 
+impl BatchOutcome {
+    /// Condense one executor result into what the pool schedules on. A card
+    /// whose run dies — loudly (`Unrecoverable`) or via an exhausted CRC
+    /// budget (`CorruptWeights`) — fails the still unfinished members at the
+    /// recorded fault time; utterances already past their last kernel are
+    /// carried in `finished_s`.
+    fn of(run: std::result::Result<BatchedRun, BatchFailure>) -> Self {
+        match run {
+            Ok(run) => {
+                let stats = run.runtime.command_stats();
+                BatchOutcome::Ok {
+                    service_s: run.makespan_s,
+                    quality: stats.success_ratio(),
+                    corruption: run.corruption,
+                    load_busy_s: run.load_busy_s,
+                    utt_finish_s: run.utterance_finish_s,
+                    timed_out: stats.timed_out,
+                }
+            }
+            Err(fail) => BatchOutcome::Fail {
+                fail_after_s: fail.at_s,
+                finished_s: fail.finished_s,
+                checkpoint: fail.checkpoint.map(Rc::new),
+                quality: fail.stats.success_ratio(),
+                timed_out: fail.stats.timed_out,
+            },
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Request {
     id: usize,
@@ -727,8 +791,7 @@ impl ServePool {
                 cfg.batch.linger_s
             )));
         }
-        let s = cfg.accel.max_seq_len;
-        let nominal = run_batch_through_runtime(&cfg.accel, cfg.arch, s, 1)?;
+        let nominal = run_plan(&cfg.accel, &cfg.dispatch_plan(1)?);
         let nominal_s = nominal.makespan_s;
         if nominal_s > cfg.deadline_s {
             return Err(AccelError::Config(format!(
@@ -797,9 +860,8 @@ impl ServePool {
         if let Some(&t) = self.nominal_batch.get(&batch) {
             return t;
         }
-        let s = self.cfg.accel.max_seq_len;
-        let run = run_batch_through_runtime(&self.cfg.accel, self.cfg.arch, s, batch)
-            .expect("pool config validated at construction");
+        let plan = self.cfg.dispatch_plan(batch).expect("pool config validated at construction");
+        let run = run_plan(&self.cfg.accel, &plan);
         self.nominal_batch.insert(batch, run.makespan_s);
         run.makespan_s
     }
@@ -1031,13 +1093,9 @@ impl ServePool {
             // carrying a checkpoint keeps it (a resumed suffix's absolute
             // frontier is at least that cut); fresh members share one new
             // cut over the analytic barrier schedule.
-            let group_ckpt: Option<Rc<PlanCheckpoint>> = if self.cfg.checkpoint
-                && unfinished.iter().any(|r| r.ckpt.is_none())
-            {
-                let s = self.cfg.accel.max_seq_len;
-                ExecPlan::lower(&self.cfg.accel, self.cfg.arch, s, batch, self.cfg.accel.integrity)
-                    .ok()
-                    .and_then(|plan| {
+            let group_ckpt: Option<Rc<PlanCheckpoint>> =
+                if self.cfg.checkpoint && unfinished.iter().any(|r| r.ckpt.is_none()) {
+                    self.cfg.dispatch_plan(batch).ok().and_then(|plan| {
                         let cost = walk_cost(&self.cfg.accel, &plan);
                         let (completed, loaded) = cost.frontier_at(now - fl.started_s);
                         let ck = PlanCheckpoint::at(
@@ -1049,9 +1107,9 @@ impl ServePool {
                         );
                         ck.work_remains().then(|| Rc::new(ck))
                     })
-            } else {
-                None
-            };
+                } else {
+                    None
+                };
             for r in unfinished {
                 let ckpt = r.ckpt.clone().or_else(|| group_ckpt.clone());
                 self.evicted += 1;
@@ -1189,7 +1247,7 @@ impl ServePool {
             } else if let Some(quality) = fl.batch_quality {
                 let d = &mut self.devices[i];
                 d.breaker.on_success();
-                d.health = 0.8 * d.health + 0.2 * quality;
+                update_health(&mut d.health, Some(quality));
             }
             let batch = fl.members.len();
             let device = self.devices[i].id;
@@ -1257,10 +1315,7 @@ impl ServePool {
     fn note_attempt_failure(&mut self, device: usize, at_s: f64, fail_quality: Option<f64>) {
         let d = &mut self.devices[device];
         d.breaker.on_failure(at_s);
-        match fail_quality {
-            Some(q) => d.health = 0.8 * d.health + 0.2 * (0.5 * q),
-            None => d.health *= 0.8,
-        }
+        update_health(&mut d.health, fail_quality.map(|q| 0.5 * q));
     }
 
     /// Re-enqueue a failed/timed-out request once onto the rest of the pool,
@@ -1517,38 +1572,12 @@ impl ServePool {
         if let Some(o) = self.devices[device].outcomes.get(&batch) {
             return o.clone();
         }
-        let s = self.cfg.accel.max_seq_len;
-        let o = match run_batch_with_recovery(
-            &self.cfg.accel,
-            self.cfg.arch,
-            s,
-            batch,
-            self.devices[device].plan.clone(),
-            &self.cfg.policy,
-        ) {
-            Ok(run) => {
-                let stats = run.runtime.command_stats();
-                BatchOutcome::Ok {
-                    service_s: run.makespan_s,
-                    quality: stats.success_ratio(),
-                    corruption: run.corruption,
-                    load_busy_s: run.load_busy_s,
-                    utt_finish_s: run.utterance_finish_s,
-                    timed_out: stats.timed_out,
-                }
-            }
-            // A card whose run dies — loudly (`Unrecoverable`) or via an
-            // exhausted CRC budget (`CorruptWeights`) — fails the still
-            // unfinished members at the recorded fault time; utterances
-            // already past their last kernel are carried in `finished_s`.
-            Err(fail) => BatchOutcome::Fail {
-                fail_after_s: fail.at_s,
-                finished_s: fail.finished_s,
-                checkpoint: fail.checkpoint.map(Rc::new),
-                quality: fail.stats.success_ratio(),
-                timed_out: fail.stats.timed_out,
-            },
+        let faults = self.devices[device].plan.clone();
+        let run = match self.cfg.dispatch_plan(batch) {
+            Ok(plan) => run_plan_with_recovery(&self.cfg.accel, &plan, faults, &self.cfg.policy),
+            Err(e) => Err(BatchFailure::from_error(e)),
         };
+        let o = BatchOutcome::of(run);
         self.devices[device].outcomes.insert(batch, o.clone());
         o
     }
@@ -1571,52 +1600,34 @@ impl ServePool {
             self.replayed_compute_s += ck.captured_at_s;
             return self.device_outcome(device, ck.remaining_lens().len());
         }
-        match resume_batch(
-            &self.cfg.accel,
-            ck,
-            false,
-            self.devices[device].plan.clone(),
-            &self.cfg.policy,
-        ) {
-            Ok(run) => {
-                self.resumed_dispatches += 1;
-                if let Some(res) = &run.resume {
+        let accel = &self.cfg.accel;
+        let faults = self.devices[device].plan.clone();
+        let run = match ExecPlan::resume(accel, ck, false) {
+            Ok(plan) => run_plan_with_recovery(accel, &plan, faults, &self.cfg.policy),
+            Err(e) => Err(BatchFailure::from_error(e)),
+        };
+        match &run {
+            Ok(r) => {
+                if let Some(res) = &r.resume {
                     self.skipped_load_bytes += res.skipped_load_bytes;
                     self.replayed_load_bytes += res.replayed_load_bytes;
                 }
                 self.skipped_compute_s += ck.captured_at_s;
-                let stats = run.runtime.command_stats();
-                BatchOutcome::Ok {
-                    service_s: run.makespan_s,
-                    quality: stats.success_ratio(),
-                    corruption: run.corruption,
-                    load_busy_s: run.load_busy_s,
-                    utt_finish_s: run.utterance_finish_s,
-                    timed_out: stats.timed_out,
-                }
             }
-            Err(fail) => {
-                if matches!(fail.error, AccelError::CheckpointRejected { .. }) {
-                    self.checkpoint_rejects += 1;
-                    self.replayed_load_bytes += ck.loaded_bytes();
-                    self.replayed_compute_s += ck.captured_at_s;
-                    return self.device_outcome(device, ck.remaining_lens().len());
-                }
-                // Double fault mid-resume: the failure banks a *newer*
-                // frontier (its completed prefix includes the resumed
-                // suffix's progress), so the next failover resumes from
-                // there — utterances are partitioned, never replayed from
-                // scratch or dropped.
-                self.resumed_dispatches += 1;
-                BatchOutcome::Fail {
-                    fail_after_s: fail.at_s,
-                    finished_s: fail.finished_s,
-                    checkpoint: fail.checkpoint.map(Rc::new),
-                    quality: fail.stats.success_ratio(),
-                    timed_out: fail.stats.timed_out,
-                }
+            Err(fail) if matches!(fail.error, AccelError::CheckpointRejected { .. }) => {
+                self.checkpoint_rejects += 1;
+                self.replayed_load_bytes += ck.loaded_bytes();
+                self.replayed_compute_s += ck.captured_at_s;
+                return self.device_outcome(device, ck.remaining_lens().len());
             }
+            // Double fault mid-resume: the failure banks a *newer* frontier
+            // (its completed prefix includes the resumed suffix's progress),
+            // so the next failover resumes from there — utterances are
+            // partitioned, never replayed from scratch or dropped.
+            Err(_) => {}
         }
+        self.resumed_dispatches += 1;
+        BatchOutcome::of(run)
     }
 
     fn finish_request(&mut self, r: Request, outcome: RequestOutcome) {
@@ -1644,21 +1655,14 @@ impl ServePool {
         let deadline_missed = count(&|r| matches!(r.outcome, RequestOutcome::DeadlineMissed(_)));
         let failed = count(&|r| matches!(r.outcome, RequestOutcome::Failed(_)));
         let dropped = count(&|r| matches!(r.outcome, RequestOutcome::DroppedAtShutdown));
-        let mut latencies: Vec<f64> = records
+        let latencies: Vec<f64> = records
             .iter()
             .filter_map(|r| match r.outcome {
                 RequestOutcome::Completed { latency_s, .. } => Some(latency_s),
                 _ => None,
             })
             .collect();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |p: f64| {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-            }
-        };
+        let (p50, p99) = p50_p99(latencies);
         let wall_s = self.last_finish_s;
         let mut corruption = CorruptionCounters::default();
         for d in &self.devices {
@@ -1682,8 +1686,8 @@ impl ServePool {
             failed_over: self.failed_over,
             wall_s,
             throughput_rps: if wall_s > 0.0 { completed as f64 / wall_s } else { 0.0 },
-            p50_latency_s: pct(0.50),
-            p99_latency_s: pct(0.99),
+            p50_latency_s: p50,
+            p99_latency_s: p99,
             per_device: self
                 .devices
                 .iter()

@@ -52,9 +52,11 @@ use std::collections::{HashMap, VecDeque};
 use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
-use crate::host_runtime::{run_stream_chunk, RecoveryPolicy, StreamChunkRun};
-use crate::plan::{walk_cost, PlanBuilder, PlanReuse, ResidentStripe};
-use crate::serve::{pool_fault_plans, Breaker, BreakerConfig, BreakerState};
+use crate::host_runtime::{run_plan_with_recovery, BatchFailure, RecoveryPolicy};
+use crate::plan::{walk_cost, ExecPlan, PlanBuilder, PlanReuse, ResidentStripe};
+use crate::serve::{
+    p50_p99, pool_fault_plans, update_health, Breaker, BreakerConfig, BreakerState,
+};
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::FaultPlan;
 use asr_tensor::WeightEncoding;
@@ -132,6 +134,16 @@ impl StreamConfig {
     /// The per-chunk attention window, in encoder steps.
     pub fn window(&self) -> usize {
         self.chunk_steps + self.left_context
+    }
+
+    /// One chunk's batch-of-one plan over the attention window, eliding
+    /// every `resident` stripe that CRC-matches the schedule.
+    fn chunk_plan(&self, resident: &[ResidentStripe]) -> Result<ExecPlan> {
+        PlanBuilder::new(&self.accel, self.arch)
+            .utterances(&[self.window()])
+            .integrity(self.accel.integrity)
+            .reuse_resident(resident)
+            .build()
     }
 
     /// Reject degenerate session parameters typed
@@ -434,17 +446,8 @@ pub struct StreamAnalytics {
 /// Price one cold and one warm chunk plan through the analytic walker.
 pub fn stream_analytics(cfg: &StreamConfig) -> Result<StreamAnalytics> {
     cfg.validate()?;
-    let window = cfg.window();
-    let cold = PlanBuilder::new(&cfg.accel, cfg.arch)
-        .utterances(&[window])
-        .integrity(cfg.accel.integrity)
-        .build()?;
-    let pinned = cold.pinned_stripes(cfg.pin_slots);
-    let warm = PlanBuilder::new(&cfg.accel, cfg.arch)
-        .utterances(&[window])
-        .integrity(cfg.accel.integrity)
-        .reuse_resident(&pinned)
-        .build()?;
+    let cold = cfg.chunk_plan(&[])?;
+    let warm = cfg.chunk_plan(&cold.pinned_stripes(cfg.pin_slots))?;
     let cold_chunk_s = walk_cost(&cfg.accel, &cold).latency_s;
     let warm_chunk_s = walk_cost(&cfg.accel, &warm).latency_s;
     let reuse = warm.reuse.unwrap_or_default();
@@ -586,24 +589,14 @@ impl StreamPool {
         }
         // Derive the pinned stripe set and the warm nominal once — the
         // schedule is device-neutral and deterministic.
-        let window = cfg.window();
-        let cold_plan = PlanBuilder::new(&cfg.accel, cfg.arch)
-            .utterances(&[window])
-            .integrity(cfg.accel.integrity)
-            .build()?;
+        let cold_plan = cfg.chunk_plan(&[])?;
         let pinned = cold_plan.pinned_stripes(cfg.pin_slots);
         let scheduled_bytes_per_chunk = cold_plan.scheduled_load_bytes();
-        let nominal = run_stream_chunk(
-            &cfg.accel,
-            cfg.arch,
-            window,
-            &pinned,
-            cfg.pin_slots,
-            FaultPlan::none(),
-            &cfg.policy,
-        )
-        .map_err(|f| f.error)?;
-        let nominal_s = nominal.run.makespan_s;
+        let warm_plan = cfg.chunk_plan(&pinned)?;
+        let nominal_s =
+            run_plan_with_recovery(&cfg.accel, &warm_plan, FaultPlan::none(), &cfg.policy)
+                .map_err(|f| f.error)?
+                .makespan_s;
         if nominal_s > cfg.deadline_s {
             return Err(AccelError::InvalidStream {
                 reason: format!(
@@ -796,7 +789,7 @@ impl StreamPool {
                 let d = &mut self.devices[d_idx];
                 d.breaker.on_failure(fl.finish_s);
                 d.failed += 1;
-                d.health *= 0.8;
+                update_health(&mut d.health, None);
             }
             let chunk = fl.chunk;
             if (chunk.attempts as usize) < self.devices.len().max(2) {
@@ -929,7 +922,7 @@ impl StreamPool {
         let flight = match outcome {
             DispatchOutcome::Ok { service_s, quality, timed_out, reuse } => {
                 d.timed_out += timed_out;
-                d.health = 0.8 * d.health + 0.2 * quality;
+                update_health(&mut d.health, Some(quality));
                 Flight {
                     session: s_idx,
                     chunk,
@@ -941,7 +934,7 @@ impl StreamPool {
             }
             DispatchOutcome::Fail { fail_after_s, quality, timed_out } => {
                 d.timed_out += timed_out;
-                d.health = 0.8 * d.health + 0.2 * (0.5 * quality);
+                update_health(&mut d.health, Some(0.5 * quality));
                 Flight {
                     session: s_idx,
                     chunk,
@@ -964,16 +957,14 @@ impl StreamPool {
             return o.clone();
         }
         let resident: &[ResidentStripe] = if warm { &self.pinned } else { &[] };
-        let o = match run_stream_chunk(
-            &self.cfg.accel,
-            self.cfg.arch,
-            self.cfg.window(),
-            resident,
-            self.cfg.pin_slots,
-            self.devices[d_idx].plan.clone(),
-            &self.cfg.policy,
-        ) {
-            Ok(StreamChunkRun { run, reuse, .. }) => {
+        let faults = self.devices[d_idx].plan.clone();
+        let run = match self.cfg.chunk_plan(resident) {
+            Ok(plan) => run_plan_with_recovery(&self.cfg.accel, &plan, faults, &self.cfg.policy)
+                .map(|run| (run, plan.reuse)),
+            Err(e) => Err(BatchFailure::from_error(e)),
+        };
+        let o = match run {
+            Ok((run, reuse)) => {
                 let stats = run.runtime.command_stats();
                 DispatchOutcome::Ok {
                     service_s: run.makespan_s,
@@ -1006,21 +997,14 @@ impl StreamPool {
             records.iter().filter(|r| matches!(r.outcome, ChunkOutcome::Stale(_))).count();
         let backpressure_shed =
             records.iter().filter(|r| matches!(r.outcome, ChunkOutcome::Backpressure(_))).count();
-        let mut latencies: Vec<f64> = served
+        let latencies: Vec<f64> = served
             .iter()
             .filter_map(|r| match r.outcome {
                 ChunkOutcome::Served { latency_s, .. } => Some(latency_s),
                 _ => None,
             })
             .collect();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |p: f64| {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-            }
-        };
+        let (p50, p99) = p50_p99(latencies);
         let streams_dropped = self.sessions.iter().filter(|s| s.dropped).count();
         let chunks_served = served.len();
         StreamReport {
@@ -1034,8 +1018,8 @@ impl StreamPool {
             late,
             failovers: self.failovers,
             chunks_replayed: self.chunks_replayed,
-            p50_chunk_latency_s: pct(0.50),
-            p99_chunk_latency_s: pct(0.99),
+            p50_chunk_latency_s: p50,
+            p99_chunk_latency_s: p99,
             deadline_miss_rate: if chunks_total == 0 {
                 0.0
             } else {

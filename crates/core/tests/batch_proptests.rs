@@ -9,14 +9,13 @@
 
 use std::collections::HashMap;
 
-use asr_accel::arch::{layer_bytes, simulate, simulate_batch};
-use asr_accel::host_runtime::{
-    run_batch_through_runtime, run_batch_with_recovery, run_through_runtime, RecoveryPolicy,
-};
+use asr_accel::arch::{layer_bytes, simulate};
+use asr_accel::host_runtime::{run_plan, run_plan_with_recovery, BatchRun, RecoveryPolicy};
 use asr_accel::integrity::{
-    run_functional_batch, run_functional_with_input, small_config, FunctionalFaults,
+    run_functional_plan, small_config, BatchIntegrityRun, FunctionalFaults,
 };
-use asr_accel::plan::{phase_compute_s, phase_list, ExecPlan};
+use asr_accel::plan::{phase_compute_s, phase_list, walk_cost, ExecPlan, PlanCost};
+use asr_accel::AccelError;
 use asr_accel::{calib, schedule, serve};
 use asr_accel::{AccelConfig, Architecture, CorruptionCounters};
 use asr_fpga_sim::device::SlrId;
@@ -45,6 +44,28 @@ fn any_arch() -> impl Strategy<Value = Architecture> {
     prop::sample::select(vec![Architecture::A1, Architecture::A2, Architecture::A3])
 }
 
+/// The uniform-batch plan at the config's integrity level.
+fn lowered(cfg: &AccelConfig, arch: Architecture, s: usize, batch: usize) -> ExecPlan {
+    ExecPlan::lower(cfg, arch, s, batch, cfg.integrity).unwrap()
+}
+
+/// The analytic walker's price of a uniform batch (integrity checks off).
+fn analytic(cfg: &AccelConfig, arch: Architecture, s: usize, batch: usize) -> PlanCost {
+    walk_cost(cfg, &ExecPlan::lower(cfg, arch, s, batch, IntegrityLevel::Off).unwrap())
+}
+
+/// Interpret the A2 plan for one utterance per input seed, all of
+/// length 4.
+fn functional(
+    cfg: &AccelConfig,
+    model_seed: u64,
+    seeds: &[u64],
+    faults: &FunctionalFaults,
+) -> Result<BatchIntegrityRun, AccelError> {
+    let plan = ExecPlan::lower(cfg, Architecture::A2, 4, seeds.len(), cfg.integrity)?;
+    run_functional_plan(cfg, &plan, model_seed, seeds, faults)
+}
+
 // ---------------------------------------------------------------------------
 // Functional path: a batched run is bit-identical to the solo runs, and the
 // CRC envelope pays for ONE weight load per batch.
@@ -54,7 +75,7 @@ proptest! {
     #![proptest_config(env_cases(8))]
 
     // For random batch sizes, model/input seeds, stripe-fault seeds and
-    // integrity levels: every utterance of `run_functional_batch` is
+    // integrity levels: every utterance of a batched functional run is
     // bit-for-bit (encoder, decoder, transcript) what the solo path computes
     // for it, and the batch's corruption counters equal ONE solo run's —
     // the model is loaded once per batch, so injections do not scale with B.
@@ -79,22 +100,23 @@ proptest! {
         faults.lane = None;
         let seeds: Vec<u64> = (0..batch as u64).map(|u| input_base + u).collect();
 
-        match run_functional_batch(&cfg, model_seed, &seeds, 4, &faults) {
+        match functional(&cfg, model_seed, &seeds, &faults) {
             Ok(b) => {
                 prop_assert_eq!(b.utterances.len(), batch);
                 for (u, &seed) in seeds.iter().enumerate() {
-                    let solo = run_functional_with_input(&cfg, model_seed, seed, 4, &faults)
+                    let solo = functional(&cfg, model_seed, &[seed], &faults)
                         .expect("solo run must succeed when the batched run does");
+                    let solo_u = &solo.utterances[0];
                     prop_assert_eq!(
-                        &b.utterances[u].encoder_out, &solo.encoder_out,
+                        &b.utterances[u].encoder_out, &solo_u.encoder_out,
                         "utterance {} encoder diverged", u
                     );
                     prop_assert_eq!(
-                        &b.utterances[u].decoder_out, &solo.decoder_out,
+                        &b.utterances[u].decoder_out, &solo_u.decoder_out,
                         "utterance {} decoder diverged", u
                     );
                     prop_assert_eq!(
-                        &b.utterances[u].transcript, &solo.transcript,
+                        &b.utterances[u].transcript, &solo_u.transcript,
                         "utterance {} transcript diverged", u
                     );
                     // One load's worth of accounting, not B×.
@@ -107,7 +129,7 @@ proptest! {
                 // the solo path must fail for at least one of the same
                 // utterances.
                 let any_solo_err = seeds.iter().any(|&seed| {
-                    run_functional_with_input(&cfg, model_seed, seed, 4, &faults).is_err()
+                    functional(&cfg, model_seed, &[seed], &faults).is_err()
                 });
                 prop_assert!(any_solo_err, "batch failed ({}) but every solo run passed", e);
             }
@@ -130,7 +152,7 @@ proptest! {
         let faults = FunctionalFaults { stripes: vec![], lane: Some(LaneFault { lane, delta }) };
         let seeds: Vec<u64> = (0..batch as u64).map(|u| input_base + 7 * u).collect();
 
-        let run = run_functional_batch(&cfg, model_seed, &seeds, 4, &faults).unwrap();
+        let run = functional(&cfg, model_seed, &seeds, &faults).unwrap();
         prop_assert_eq!(run.counters.escaped, 0);
         prop_assert!(run.abft.recomputed > 0, "the sticky lane must trip the ABFT check");
         let clean_cfg = {
@@ -139,10 +161,9 @@ proptest! {
             c
         };
         for (u, &seed) in seeds.iter().enumerate() {
-            let clean = run_functional_with_input(
-                &clean_cfg, model_seed, seed, 4, &FunctionalFaults::none(),
-            )
-            .unwrap();
+            let clean = functional(&clean_cfg, model_seed, &[seed], &FunctionalFaults::none())
+                .unwrap();
+            let clean = &clean.utterances[0];
             prop_assert_eq!(
                 &run.utterances[u].decoder_out, &clean.decoder_out,
                 "utterance {} not repaired to the clean bits", u
@@ -169,11 +190,10 @@ proptest! {
         s in prop::sample::select(vec![2usize, 4, 8]),
     ) {
         let cfg = unpadded(s);
-        let base = run_batch_through_runtime(&cfg, arch, s, batch).unwrap();
-        let run = run_batch_with_recovery(
-            &cfg, arch, s, batch, FaultPlan::none(), &RecoveryPolicy::default(),
-        )
-        .unwrap_or_else(|f| panic!("clean batch failed: {}", f.error));
+        let plan = lowered(&cfg, arch, s, batch);
+        let base = run_plan(&cfg, &plan);
+        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::none(), &RecoveryPolicy::default())
+            .unwrap_or_else(|f| panic!("clean batch failed: {}", f.error));
         prop_assert_eq!(base.runtime.timeline().spans(), run.runtime.timeline().spans());
         prop_assert_eq!(base.makespan_s.to_bits(), run.makespan_s.to_bits());
         prop_assert_eq!(run.utterance_finish_s.len(), batch);
@@ -194,8 +214,9 @@ proptest! {
         s in prop::sample::select(vec![2usize, 4, 8, 16]),
     ) {
         let cfg = unpadded(s);
-        let (rt, total) = run_through_runtime(&cfg, arch, s).unwrap();
-        let b1 = run_batch_through_runtime(&cfg, arch, s, 1).unwrap();
+        let BatchRun { runtime: rt, makespan_s: total, .. } =
+            run_plan(&cfg, &ExecPlan::lower(&cfg, arch, s, 1, cfg.integrity).unwrap());
+        let b1 = run_plan(&cfg, &lowered(&cfg, arch, s, 1));
         prop_assert_eq!(rt.timeline().spans(), b1.runtime.timeline().spans());
         prop_assert_eq!(total.to_bits(), b1.makespan_s.to_bits());
         prop_assert_eq!(b1.utterance_finish_s.len(), 1);
@@ -295,10 +316,10 @@ fn batch_issues_each_layer_load_exactly_once() {
     for (arch, expected_loads) in
         [(Architecture::A1, 18), (Architecture::A2, 18), (Architecture::A3, 24)]
     {
-        let solo = run_batch_through_runtime(&cfg, arch, 4, 1).unwrap();
+        let solo = run_plan(&cfg, &lowered(&cfg, arch, 4, 1));
         assert_eq!(solo.loads_issued, expected_loads, "{:?}", arch);
         for b in [2usize, 4, 8] {
-            let run = run_batch_through_runtime(&cfg, arch, 4, b).unwrap();
+            let run = run_plan(&cfg, &lowered(&cfg, arch, 4, b));
             assert_eq!(
                 run.loads_issued, expected_loads,
                 "{:?} batch {} must not re-issue per-utterance loads",
@@ -339,7 +360,7 @@ fn a1_batched_makespan_is_the_hand_computed_serial_sum() {
         + n_dec * clock.to_seconds(schedule::decoder_cycles(&cfg, 4));
 
     for b in [1usize, 2, 4, 8] {
-        let r = simulate_batch(&cfg, Architecture::A1, 4, b);
+        let r = analytic(&cfg, Architecture::A1, 4, b);
         let expected = load_s + b as f64 * compute_s;
         assert!(
             (r.latency_s - expected).abs() <= 1e-9 * expected,
@@ -367,10 +388,11 @@ fn analytic_batch_of_one_is_bitwise_the_solo_simulation() {
         for s in [4usize, 8, 32] {
             let cfg = unpadded(s);
             let solo = simulate(&cfg, arch, s);
-            let b1 = simulate_batch(&cfg, arch, s, 1);
+            let plan = ExecPlan::lower(&cfg, arch, s, 1, IntegrityLevel::Off).unwrap();
+            let b1 = walk_cost(&cfg, &plan);
             assert_eq!(solo.timeline.spans(), b1.timeline.spans(), "{:?} s={}", arch, s);
             assert_eq!(solo.latency_s.to_bits(), b1.latency_s.to_bits());
-            assert_eq!(b1.batch, 1);
+            assert_eq!(plan.batch, 1);
         }
     }
 }
@@ -385,7 +407,7 @@ fn per_utterance_stall_shrinks_as_the_batch_grows() {
     for arch in [Architecture::A2, Architecture::A3] {
         let mut prev = f64::INFINITY;
         for b in [1usize, 2, 4, 8] {
-            let r = simulate_batch(&cfg, arch, 4, b);
+            let r = analytic(&cfg, arch, 4, b);
             let per_utt = r.compute_stall_s / b as f64;
             assert!(
                 per_utt < prev,
@@ -398,8 +420,8 @@ fn per_utterance_stall_shrinks_as_the_batch_grows() {
             prev = per_utt;
         }
     }
-    let solo = simulate_batch(&cfg, Architecture::A3, 4, 1).compute_stall_s;
-    let b8 = simulate_batch(&cfg, Architecture::A3, 4, 8).compute_stall_s / 8.0;
+    let solo = analytic(&cfg, Architecture::A3, 4, 1).compute_stall_s;
+    let b8 = analytic(&cfg, Architecture::A3, 4, 8).compute_stall_s / 8.0;
     assert!(b8 < 0.3 * solo, "A3 stall/utt at batch 8 is {} vs solo {}", b8, solo);
 }
 
@@ -411,8 +433,8 @@ fn runtime_and_analytic_batched_makespans_agree() {
         for s in [4usize, 8] {
             let cfg = unpadded(s);
             for b in [2usize, 4, 8] {
-                let analytic = simulate_batch(&cfg, arch, s, b).latency_s;
-                let run = run_batch_through_runtime(&cfg, arch, s, b).unwrap();
+                let analytic = analytic(&cfg, arch, s, b).latency_s;
+                let run = run_plan(&cfg, &lowered(&cfg, arch, s, b));
                 assert!(
                     (analytic - run.makespan_s).abs() / analytic < 0.01,
                     "{:?} s={} b={}: analytic {} vs runtime {}",
@@ -437,7 +459,7 @@ fn batched_makespan_beats_b_solo_passes_under_overlap() {
         let solo = simulate(&cfg, arch, 4).latency_s;
         let mut prev_per_utt = f64::INFINITY;
         for b in [2usize, 4, 8] {
-            let batched = simulate_batch(&cfg, arch, 4, b).latency_s;
+            let batched = analytic(&cfg, arch, 4, b).latency_s;
             assert!(
                 batched < b as f64 * solo,
                 "{:?} batch {}: {} not better than {} solo passes ({})",
@@ -458,8 +480,8 @@ fn batched_makespan_beats_b_solo_passes_under_overlap() {
 // Plan-IR equivalence: the unified ExecPlan lowering and its two timing
 // consumers reproduce the pre-refactor per-architecture bodies bit for bit.
 // The references below are verbatim copies of the deleted recurrence and
-// emission loop (the per-arch `match` in `arch::simulate_batch` and the
-// straight-line loop in `run_batch_through_runtime`), so any drift in the
+// emission loop (the per-arch `match` in the old `arch::simulate_batch` and
+// the straight-line loop in the old `run_batch_through_runtime`), so any drift in the
 // lowering's edge policy or the executors shows up as a span diff here.
 // ---------------------------------------------------------------------------
 
@@ -682,7 +704,7 @@ proptest! {
         s in prop::sample::select(vec![2usize, 4, 8, 16, 32]),
     ) {
         let cfg = unpadded(s);
-        let new = simulate_batch(&cfg, arch, s, batch);
+        let new = analytic(&cfg, arch, s, batch);
         let old = legacy_simulate_batch(&cfg, arch, s, batch);
         prop_assert_eq!(old.timeline.spans(), new.timeline.spans(), "{:?} b={}", arch, batch);
         prop_assert_eq!(old.latency_s.to_bits(), new.latency_s.to_bits());
@@ -701,7 +723,7 @@ proptest! {
         s in prop::sample::select(vec![2usize, 4, 8, 16]),
     ) {
         let cfg = unpadded(s);
-        let new = run_batch_through_runtime(&cfg, arch, s, batch).unwrap();
+        let new = run_plan(&cfg, &lowered(&cfg, arch, s, batch));
         let (rt, makespan_s, finishes) = legacy_run_batch(&cfg, arch, s, batch);
         prop_assert_eq!(rt.timeline().spans(), new.runtime.timeline().spans(),
             "{:?} b={}", arch, batch);

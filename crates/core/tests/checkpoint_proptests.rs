@@ -4,7 +4,7 @@
 //! utterance conservation across single- and double-fault failovers.
 #![recursion_limit = "1024"]
 
-use asr_accel::host_runtime::{resume_batch, run_batch_with_recovery, RecoveryPolicy};
+use asr_accel::host_runtime::{run_plan_with_recovery, RecoveryPolicy};
 use asr_accel::integrity::{
     functional_checkpoint_at, resume_functional_plan, run_functional_plan, small_config,
     FunctionalFaults,
@@ -131,7 +131,7 @@ proptest! {
         let kill = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label, failing_attempts: u32::MAX });
         let policy = RecoveryPolicy::default();
-        let failure = match run_batch_with_recovery(&cfg, arch, 8, batch, kill, &policy) {
+        let failure = match run_plan_with_recovery(&cfg, &probe, kill, &policy) {
             // The ladder found a rung (e.g. the label only matched a phase
             // another arch renames): no lost work, nothing to resume.
             Ok(run) => {
@@ -141,14 +141,14 @@ proptest! {
             Err(f) => f,
         };
         let ckpt = failure.checkpoint.as_ref().expect("mid-run failures checkpoint");
-        let resumed = resume_batch(&cfg, ckpt, false, FaultPlan::none(), &policy).unwrap();
+        let suffix = ExecPlan::resume(&cfg, ckpt, false).unwrap();
+        let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none(), &policy).unwrap();
         prop_assert_eq!(
             ckpt.finished_utterances + resumed.utterance_finish_s.len(),
             batch,
             "every utterance served exactly once across the cut"
         );
-        let full =
-            run_batch_with_recovery(&cfg, arch, 8, batch, FaultPlan::none(), &policy).unwrap();
+        let full = run_plan_with_recovery(&cfg, &probe, FaultPlan::none(), &policy).unwrap();
         prop_assert!(resumed.loads_issued <= full.loads_issued);
         if ckpt.completed_phases > 0 {
             prop_assert!(resumed.loads_issued < full.loads_issued,
@@ -182,7 +182,7 @@ proptest! {
                 failing_attempts: u32::MAX,
             })
         };
-        let f1 = match run_batch_with_recovery(&cfg, arch, 8, batch, kill(k1), &policy) {
+        let f1 = match run_plan_with_recovery(&cfg, &probe, kill(k1), &policy) {
             Ok(run) => {
                 prop_assert_eq!(run.utterance_finish_s.len(), batch);
                 return Ok(());
@@ -190,7 +190,8 @@ proptest! {
             Err(f) => f,
         };
         let c1 = f1.checkpoint.as_ref().expect("first failure checkpoints");
-        match resume_batch(&cfg, c1, false, kill(k2), &policy) {
+        let suffix = ExecPlan::resume(&cfg, c1, false).unwrap();
+        match run_plan_with_recovery(&cfg, &suffix, kill(k2), &policy) {
             // Second kill targeted the completed prefix: the suffix never
             // re-issues that load, so the resume sails through.
             Ok(run) => {
@@ -201,7 +202,9 @@ proptest! {
                 prop_assert!(c2.completed_phases >= c1.completed_phases,
                     "the frontier never moves backwards");
                 prop_assert!(c2.remaining_lens().len() <= c1.remaining_lens().len());
-                let done = resume_batch(&cfg, c2, false, FaultPlan::none(), &policy).unwrap();
+                let suffix = ExecPlan::resume(&cfg, c2, false).unwrap();
+                let done =
+                    run_plan_with_recovery(&cfg, &suffix, FaultPlan::none(), &policy).unwrap();
                 prop_assert_eq!(done.utterance_finish_s.len(), c2.remaining_lens().len());
             }
         }

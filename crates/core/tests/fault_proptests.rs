@@ -3,10 +3,7 @@
 #![recursion_limit = "1024"]
 
 use asr_accel::arch::{layer_bytes, simulate};
-use asr_accel::host_runtime::{
-    run_batch_with_recovery, run_plan, run_plan_with_recovery, run_through_runtime,
-    run_with_recovery, RecoveryPolicy,
-};
+use asr_accel::host_runtime::{run_plan, run_plan_with_recovery, BatchRun, RecoveryPolicy};
 use asr_accel::integrity::{load_model_with_faults, FunctionalFaults, StripeCorruption};
 use asr_accel::plan::ExecPlan;
 use asr_accel::schedule;
@@ -51,6 +48,11 @@ fn any_arch() -> impl Strategy<Value = Architecture> {
     prop::sample::select(vec![Architecture::A1, Architecture::A2, Architecture::A3])
 }
 
+/// The single-utterance plan at the config's integrity level.
+fn solo(cfg: &AccelConfig, arch: Architecture, s: usize) -> ExecPlan {
+    ExecPlan::lower(cfg, arch, s, 1, cfg.integrity).unwrap()
+}
+
 proptest! {
     #![proptest_config(env_cases(32))]
 
@@ -66,10 +68,10 @@ proptest! {
         arch in any_arch(),
     ) {
         let s = cfg.max_seq_len;
-        let (rt, total) = run_through_runtime(&cfg, arch, s).unwrap();
-        let run =
-            run_with_recovery(&cfg, arch, s, FaultPlan::none(), &RecoveryPolicy::default())
-                .unwrap();
+        let plan = solo(&cfg, arch, s);
+        let BatchRun { runtime: rt, makespan_s: total, .. } = run_plan(&cfg, &plan);
+        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::none(), &RecoveryPolicy::default())
+            .unwrap();
         prop_assert_eq!(rt.timeline().spans(), run.runtime.timeline().spans());
         prop_assert_eq!(total.to_bits(), run.makespan_s.to_bits());
         prop_assert_eq!(run.final_arch, arch);
@@ -87,14 +89,13 @@ proptest! {
     ) {
         let mut cfg = AccelConfig::paper_default();
         cfg.max_seq_len = s;
-        let run = run_with_recovery(
+        let run = run_plan_with_recovery(
             &cfg,
-            Architecture::A3,
-            s,
+            &solo(&cfg, Architecture::A3, s),
             FaultPlan::seeded(seed),
             &RecoveryPolicy::default(),
         )
-        .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
+        .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
         prop_assert!(run.makespan_s.is_finite(), "seed {}", seed);
         prop_assert!(
             run.makespan_s >= run.nominal_s - 1e-12,
@@ -120,11 +121,15 @@ proptest! {
         let s = cfg.max_seq_len;
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, s, plan, &RecoveryPolicy::default())
-                .unwrap();
-        let (_, a2) = run_through_runtime(&cfg, Architecture::A2, s).unwrap();
-        let (_, a3) = run_through_runtime(&cfg, Architecture::A3, s).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &solo(&cfg, Architecture::A3, s),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        let a2 = run_plan(&cfg, &solo(&cfg, Architecture::A2, s)).makespan_s;
+        let a3 = run_plan(&cfg, &solo(&cfg, Architecture::A3, s)).makespan_s;
         let a1 = simulate(&cfg, Architecture::A1, s).latency_s;
         let setup_slack = 40.0 * cfg.device.hbm.transfer_latency_s;
         prop_assert_eq!(run.final_arch, Architecture::A2);
@@ -159,7 +164,7 @@ proptest! {
 
     // The serving layer is pure orchestration: on a clean pool, every
     // completed request's *service* time must be bit-identical to what an
-    // independent `run_with_recovery` call produces for the same build —
+    // independent `run_plan_with_recovery` call produces for the same build —
     // queuing and routing may shift latencies but never touch the compute.
     #[test]
     fn clean_pool_service_times_match_independent_runs(
@@ -172,10 +177,9 @@ proptest! {
         cfg.arch = arch;
         cfg.requests = requests;
         let s = cfg.accel.max_seq_len;
-        let solo = run_with_recovery(
+        let solo = run_plan_with_recovery(
             &cfg.accel,
-            arch,
-            s,
+            &solo(&cfg.accel, arch, s),
             FaultPlan::none(),
             &cfg.policy,
         )
@@ -253,8 +257,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-IR recovery equivalence: executing a pre-lowered ExecPlan directly is
-// the same machine as the length/batch wrappers, fault-free and faulted.
+// Plan-IR recovery equivalence: fault-free, the recovery executor replays a
+// lowered ExecPlan exactly as the plain executor does.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -288,48 +292,5 @@ proptest! {
         prop_assert_eq!(run.retries, 0);
         prop_assert_eq!(run.final_arch, arch);
         prop_assert_eq!(run.corruption, CorruptionCounters::default());
-    }
-
-    // Under seeded faults, the batch wrapper IS lower-then-execute: running
-    // the explicitly lowered plan through `run_plan_with_recovery` gives the
-    // bit-identical outcome (success spans and metrics, or the same typed
-    // error) as `run_batch_with_recovery` on the raw request.
-    #[test]
-    fn seeded_fault_recovery_is_identical_through_the_plan_and_the_wrapper(
-        seed in 0u64..1000,
-        s in 2usize..=16,
-        batch in 1usize..=4,
-        arch in any_arch(),
-        level_idx in 0usize..3,
-    ) {
-        let mut cfg = AccelConfig::paper_default();
-        cfg.max_seq_len = s;
-        cfg.integrity = [
-            IntegrityLevel::Off,
-            IntegrityLevel::Detect,
-            IntegrityLevel::DetectAndRecompute,
-        ][level_idx];
-        let plan = ExecPlan::lower(&cfg, arch, s, batch, cfg.integrity).unwrap();
-        let policy = RecoveryPolicy::default();
-        let direct = run_plan_with_recovery(&cfg, &plan, FaultPlan::seeded(seed), &policy);
-        let wrapped = run_batch_with_recovery(&cfg, arch, s, batch, FaultPlan::seeded(seed), &policy);
-        match (direct, wrapped) {
-            (Ok(d), Ok(w)) => {
-                prop_assert_eq!(d.runtime.timeline().spans(), w.runtime.timeline().spans());
-                prop_assert_eq!(d.makespan_s.to_bits(), w.makespan_s.to_bits());
-                prop_assert_eq!(d.nominal_s.to_bits(), w.nominal_s.to_bits());
-                prop_assert_eq!(d.retries, w.retries);
-                prop_assert_eq!(d.final_arch, w.final_arch);
-                prop_assert_eq!(d.corruption, w.corruption);
-                prop_assert_eq!(d.events.len(), w.events.len());
-            }
-            (Err(d), Err(w)) => prop_assert_eq!(d.error, w.error),
-            (d, w) => prop_assert!(
-                false,
-                "plan and wrapper disagreed on success: direct {:?} vs wrapped {:?}",
-                d.map(|r| r.makespan_s),
-                w.map(|r| r.makespan_s)
-            ),
-        }
     }
 }

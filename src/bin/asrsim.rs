@@ -97,9 +97,8 @@ use transformer_asr_accel::accel::cluster::{
 use transformer_asr_accel::accel::serve::{pool_fault_plans, ServeConfig, ServePool, ServeReport};
 use transformer_asr_accel::accel::stream::{stream_analytics, StreamConfig, StreamPool};
 use transformer_asr_accel::accel::{
-    decode_analytics, dse, latency, pipeline, quant, resume_batch, run_batch_with_recovery,
-    run_functional_decode, run_with_recovery, sweep, walk_cost, AccelConfig, ExecPlan,
-    FunctionalFaults, HostController, RecoveryPolicy,
+    decode_analytics, dse, latency, pipeline, quant, run_functional_decode, run_plan_with_recovery,
+    sweep, walk_cost, AccelConfig, ExecPlan, FunctionalFaults, HostController, RecoveryPolicy,
 };
 use transformer_asr_accel::fpga::trace::to_chrome_trace;
 use transformer_asr_accel::fpga::{FaultKind, FaultPlan};
@@ -470,7 +469,10 @@ fn cmd_faults(seed: u64, s: usize, args: &[String]) -> ExitCode {
     for f in plan.faults() {
         println!("  - {:?}", f);
     }
-    let run = match run_with_recovery(&cfg, arch, s, plan, &RecoveryPolicy::default()) {
+    let run = ExecPlan::lower(&cfg, arch, s, 1, level).and_then(|exec| {
+        run_plan_with_recovery(&cfg, &exec, plan, &RecoveryPolicy::default()).map_err(|f| f.error)
+    });
+    let run = match run {
         Ok(run) => run,
         Err(e) => {
             eprintln!("unrecoverable: {}", e);
@@ -530,19 +532,23 @@ fn cmd_faults_checkpoint(
     println!("architecture         : {}", arch.name());
     println!("integrity level      : {}", cfg.integrity.name());
     println!("batch                : {}", batch);
-    let failure = match run_batch_with_recovery(cfg, arch, s, batch, plan, &policy) {
-        Ok(run) => {
-            println!(
-                "run completed        : {:8.2} ms — '{}' matched no command, nothing to resume",
-                run.makespan_s * 1e3,
-                kill
-            );
-            return ExitCode::SUCCESS;
-        }
-        Err(f) => f,
+    let full = ExecPlan::lower(cfg, arch, s, batch, cfg.integrity);
+    let (error, checkpoint) = match &full {
+        Ok(exec) => match run_plan_with_recovery(cfg, exec, plan, &policy) {
+            Ok(run) => {
+                println!(
+                    "run completed        : {:8.2} ms — '{}' matched no command, nothing to resume",
+                    run.makespan_s * 1e3,
+                    kill
+                );
+                return ExitCode::SUCCESS;
+            }
+            Err(f) => (f.error, f.checkpoint),
+        },
+        Err(e) => (e.clone(), None),
     };
-    println!("hard fault           : {}", failure.error);
-    let Some(ckpt) = failure.checkpoint else {
+    println!("hard fault           : {}", error);
+    let Some(ckpt) = checkpoint else {
         eprintln!("no checkpoint captured (the run died before any dispatch state existed)");
         return ExitCode::FAILURE;
     };
@@ -572,7 +578,16 @@ fn cmd_faults_checkpoint(
     );
     // Fail over to a clean spare. Cross-device, so the double-buffer
     // residency of the dead card is not trusted: suffix stripes re-load.
-    match resume_batch(cfg, &ckpt, false, FaultPlan::none(), &policy) {
+    // A clean full restart: the baseline a resume is compared against, and
+    // the fallback when the resume is refused.
+    let full_restart = || {
+        let exec = full.as_ref().map_err(Clone::clone)?;
+        run_plan_with_recovery(cfg, exec, FaultPlan::none(), &policy).map_err(|f| f.error)
+    };
+    let resumed = ExecPlan::resume(cfg, &ckpt, false).and_then(|exec| {
+        run_plan_with_recovery(cfg, &exec, FaultPlan::none(), &policy).map_err(|f| f.error)
+    });
+    match resumed {
         Ok(run) => {
             let res = run.resume.as_ref().expect("a resumed plan carries its accounting");
             println!(
@@ -588,31 +603,31 @@ fn cmd_faults_checkpoint(
                 "  replayed by resume : {} loads, {} bytes",
                 res.replayed_loads, res.replayed_load_bytes
             );
-            match run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy) {
+            match full_restart() {
                 Ok(full) => println!(
                     "  full restart       : {:8.2} ms, {} loads — resume saves {:8.2} ms",
                     full.makespan_s * 1e3,
                     full.loads_issued,
                     (full.makespan_s - run.makespan_s) * 1e3
                 ),
-                Err(f) => {
-                    eprintln!("full-restart baseline failed: {}", f.error);
+                Err(e) => {
+                    eprintln!("full-restart baseline failed: {}", e);
                     return ExitCode::FAILURE;
                 }
             }
             ExitCode::SUCCESS
         }
-        Err(f) => {
+        Err(e) => {
             // Typed rejection (or a second hard fault): never reuse the
             // state silently — fall back to a clean full restart.
-            println!("resume failed        : {}", f.error);
-            match run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy) {
+            println!("resume failed        : {}", e);
+            match full_restart() {
                 Ok(full) => {
                     println!("full restart         : {:8.2} ms", full.makespan_s * 1e3);
                     ExitCode::SUCCESS
                 }
-                Err(f2) => {
-                    eprintln!("full restart failed: {}", f2.error);
+                Err(e2) => {
+                    eprintln!("full restart failed: {}", e2);
                     ExitCode::FAILURE
                 }
             }

@@ -3,9 +3,9 @@
 //! cross-check, VAD trimming, and the schedule verifier.
 
 use transformer_asr_accel::accel::arch::{simulate, Architecture};
-use transformer_asr_accel::accel::host_runtime::run_through_runtime;
+use transformer_asr_accel::accel::host_runtime::run_plan;
 use transformer_asr_accel::accel::quant::{self, QuantizedBackend};
-use transformer_asr_accel::accel::{pipeline, verify, AccelConfig};
+use transformer_asr_accel::accel::{pipeline, verify, AccelConfig, ExecPlan};
 use transformer_asr_accel::fpga::bitstream::{Bitstream, Precision, WorkloadRequirements};
 use transformer_asr_accel::frontend::audio::{synthesize_speech, Waveform, SAMPLE_RATE};
 use transformer_asr_accel::frontend::vad::{trim_silence, VadConfig};
@@ -96,7 +96,8 @@ fn bitstream_gatekeeps_the_host() {
 fn runtime_and_bespoke_simulators_agree_for_int8_too() {
     let q = quant::int8_config(&AccelConfig::paper_default());
     let bespoke = simulate(&q, Architecture::A3, 32).latency_s;
-    let (_, via_runtime) = run_through_runtime(&q, Architecture::A3, 32).unwrap();
+    let plan = ExecPlan::lower(&q, Architecture::A3, 32, 1, q.integrity).unwrap();
+    let via_runtime = run_plan(&q, &plan).makespan_s;
     assert!((bespoke - via_runtime).abs() / bespoke < 0.01);
 }
 
