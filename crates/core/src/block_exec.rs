@@ -55,7 +55,9 @@ pub fn encoder_forward_via_schemes_with(
     w: &EncoderWeights,
 ) -> Matrix {
     assert_eq!(x.cols(), cfg.model.d_model, "input width mismatch");
-    // the eight heads (computed concurrently on hardware; sequentially here)
+    // the eight heads: concurrent on hardware, one after another here (the
+    // host's threads go to the batch's utterances instead, see
+    // `encoder_forward_via_schemes_batch`)
     let heads: Vec<Matrix> =
         (0..cfg.model.n_heads).map(|h| head_via_schemes(cfg, engine, x, &w.mha, h)).collect();
     let refs: Vec<&Matrix> = heads.iter().collect();
@@ -77,7 +79,8 @@ pub fn encoder_forward_via_schemes_with(
 /// One encoder layer over a whole batch of utterances, under a single
 /// weight residency: the layer's stripes are fetched once (the timing path
 /// charges one `LW` load per batch) and the utterances stream through the
-/// schemes back-to-back. Functionally each output is bit-identical to
+/// schemes, split across up to `available_parallelism` scoped threads and
+/// joined in input order. Functionally each output is bit-identical to
 /// [`encoder_forward_via_schemes_with`] on that utterance alone — the PSA
 /// engine is stateless per matmul, so sharing it across the batch cannot
 /// leak data between utterances.
@@ -87,7 +90,28 @@ pub fn encoder_forward_via_schemes_batch(
     xs: &[Matrix],
     w: &EncoderWeights,
 ) -> Vec<Matrix> {
-    xs.iter().map(|x| encoder_forward_via_schemes_with(cfg, engine, x, w)).collect()
+    map_utterances(xs, |x| encoder_forward_via_schemes_with(cfg, engine, x, w))
+}
+
+/// `items.iter().map(f).collect()`, with the items split into contiguous
+/// runs across up to `available_parallelism` scoped threads. Results come
+/// back in input order, and a panic in any worker resumes on the caller.
+pub(crate) fn map_utterances<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|run| s.spawn(move || run.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -145,6 +169,15 @@ mod tests {
         let batched = encoder_forward_via_schemes_batch(&cfg, &engine, &xs, &w);
         for (x, b) in xs.iter().zip(&batched) {
             assert_eq!(*b, encoder_forward_via_schemes_with(&cfg, &engine, x, &w));
+        }
+    }
+
+    #[test]
+    fn map_utterances_keeps_input_order_for_any_batch_size() {
+        for n in [0usize, 1, 2, 3, 7, 8, 37] {
+            let items: Vec<usize> = (0..n).collect();
+            let want: Vec<usize> = items.iter().map(|&i| i * 3 + 1).collect();
+            assert_eq!(map_utterances(&items, |&i| i * 3 + 1), want, "batch {}", n);
         }
     }
 

@@ -25,7 +25,9 @@
 //! when the integrity checks are off.
 
 use crate::arch::Architecture;
-use crate::block_exec::{encoder_forward_via_schemes_batch, encoder_forward_via_schemes_with};
+use crate::block_exec::{
+    encoder_forward_via_schemes_batch, encoder_forward_via_schemes_with, map_utterances,
+};
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::plan::{DecodeStepSpec, ExecPlan, PhaseKind, PlanReuse, ResidentStripe};
@@ -324,15 +326,12 @@ pub fn load_model_with_faults_encoded(
     level: IntegrityLevel,
     counters: &mut CorruptionCounters,
 ) -> Result<ModelWeights> {
-    let stripes: Vec<WeightStripe> = w
-        .matrices()
-        .iter()
-        .enumerate()
-        .map(|(i, m)| WeightStripe::export_encoded(format!("W{}", i), m, spec))
-        .collect();
+    // One stripe in flight at a time: export, fetch and decode each matrix
+    // straight into its slot, in `ModelWeights::matrices` order.
     let mut loaded = w.clone();
-    for (i, (slot, stripe)) in loaded.matrices_mut().into_iter().zip(&stripes).enumerate() {
-        *slot = fetch_stripe(stripe, i, faults, level, counters)?;
+    for (i, (slot, m)) in loaded.matrices_mut().into_iter().zip(w.matrices()).enumerate() {
+        let stripe = WeightStripe::export_encoded(format!("W{}", i), m, spec);
+        *slot = fetch_stripe(&stripe, i, faults, level, counters)?;
     }
     Ok(loaded)
 }
@@ -487,8 +486,14 @@ fn advance_phases(
                         .map(|_| w.embedding.submatrix(0, 0, steps, cfg.model.d_model))
                         .collect();
                 }
-                for (u, (y, encoder_out)) in cur.ys.iter_mut().zip(&cur.xs).enumerate() {
-                    *y = decoder_forward(y, encoder_out, &w.decoders[cur.dec_idx], engine);
+                let pairs: Vec<(&Matrix, &Matrix)> = cur.ys.iter().zip(&cur.xs).collect();
+                let layer = &w.decoders[cur.dec_idx];
+                cur.ys = map_utterances(&pairs, |&(y, memory)| {
+                    decoder_forward(y, memory, layer, engine)
+                });
+                // Guarded in utterance order after the join, so the first
+                // error reported is the lowest-numbered bad utterance.
+                for (u, y) in cur.ys.iter().enumerate() {
                     guard_activations(y, &format!("decoder {} output [u{}]", cur.dec_idx, u))?;
                 }
                 cur.dec_idx += 1;
@@ -520,7 +525,10 @@ fn advance_phases(
 /// `Verify(WeightCrc)` nodes carried into data), then the plan's phases in
 /// schedule order on one shared ABFT-checked PSA. Encoder phases run the
 /// whole batch layer-major through [`encoder_forward_via_schemes_batch`];
-/// decoder phases advance every utterance one layer.
+/// decoder phases advance every utterance one layer. Both split the batch's
+/// utterances across up to `available_parallelism` scoped threads, join
+/// them in input order, and only then run [`guard_activations`] utterance
+/// by utterance, so the first error reported does not depend on threads.
 ///
 /// The interpreter needs full decoder phases ([`PhaseKind::DecoderFull`]) —
 /// the A3 M-MHA/FFN half-phases are a *timing* split with no functional

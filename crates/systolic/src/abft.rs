@@ -92,8 +92,9 @@ pub struct AbftStats {
 }
 
 /// A matmul engine every PSA product can route through: the plain [`Psa`] or
-/// the ABFT-wrapped [`CheckedPsa`].
-pub trait PsaMatmul {
+/// the ABFT-wrapped [`CheckedPsa`]. `Sync`, so one engine can serve several
+/// utterances on parallel threads.
+pub trait PsaMatmul: Sync {
     /// Compute `a · b` with the PSA accumulation order.
     fn matmul(&self, a: &Matrix, b: &Matrix) -> Matrix;
 }
@@ -141,12 +142,13 @@ impl CheckedPsa {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> AbftStats {
-        *self.stats.lock().unwrap()
+        *self.stats.lock().expect("no thread panics while it holds the ABFT stats lock")
     }
 
     /// Zero the counters (e.g. between layers).
     pub fn reset_stats(&self) {
-        *self.stats.lock().unwrap() = AbftStats::default();
+        *self.stats.lock().expect("no thread panics while it holds the ABFT stats lock") =
+            AbftStats::default();
     }
 
     /// Compute `a · b`, injecting the lane fault into each tile it lands in
@@ -170,6 +172,9 @@ impl CheckedPsa {
         let w = self.psa.config.cols;
         let mut out = Matrix::zeros(l, n);
         let sums = checksum_rows(a);
+        // Counted locally and added under one lock per call: the engine is
+        // shared by the interpreter's worker threads.
+        let mut tally = AbftStats::default();
         for j0 in (0..n).step_by(w) {
             let je = (j0 + w).min(n);
             self.psa.matmul_region(a, b, &mut out, j0, je);
@@ -180,18 +185,15 @@ impl CheckedPsa {
                     for i in 0..l {
                         out[(i, j)] += f.delta;
                     }
-                    self.stats.lock().unwrap().corrupted_tiles += 1;
+                    tally.corrupted_tiles += 1;
                 }
             }
 
             if self.level.checks_enabled() {
-                let clean = tile_checksum_ok(&sums, b, &out, j0, je);
-                let mut stats = self.stats.lock().unwrap();
-                stats.checked_tiles += 1;
-                if !clean {
-                    stats.detected += 1;
+                tally.checked_tiles += 1;
+                if !tile_checksum_ok(&sums, b, &out, j0, je) {
+                    tally.detected += 1;
                     if self.level.recomputes() {
-                        drop(stats);
                         // Localized repair: zero and re-run only this tile on
                         // a healthy block — no lane fault applied.
                         for i in 0..l {
@@ -200,10 +202,18 @@ impl CheckedPsa {
                             }
                         }
                         self.psa.matmul_region(a, b, &mut out, j0, je);
-                        self.stats.lock().unwrap().recomputed += 1;
+                        tally.recomputed += 1;
                     }
                 }
             }
+        }
+        if tally != AbftStats::default() {
+            let mut stats =
+                self.stats.lock().expect("no thread panics while it holds the ABFT stats lock");
+            stats.checked_tiles += tally.checked_tiles;
+            stats.corrupted_tiles += tally.corrupted_tiles;
+            stats.detected += tally.detected;
+            stats.recomputed += tally.recomputed;
         }
         out
     }
@@ -224,7 +234,7 @@ impl PsaMatmul for CheckedPsa {
     }
 }
 
-///// Per-`k` checksum sums of `A`: `sum[k] = Σ_i a_ik` (the Huang–Abraham
+/// Per-`k` checksum sums of `A`: `sum[k] = Σ_i a_ik` (the Huang–Abraham
 /// checksum row `eᵀA`) and `abs[k] = Σ_i |a_ik|` (the error-bound scale).
 fn checksum_rows(a: &Matrix) -> Vec<(f64, f64)> {
     let (l, m) = a.shape();
@@ -239,29 +249,34 @@ fn checksum_rows(a: &Matrix) -> Vec<(f64, f64)> {
 }
 
 /// Verify one output column tile against the checksum row.
+///
+/// Walks `b` and `out` row by row with one f64 accumulator per tile column,
+/// so both are read along memory. Each column still sums over `k` (and over
+/// `i`) in increasing order, so every sum, and with it every accept or
+/// detect decision, is the same as a column-at-a-time walk.
 fn tile_checksum_ok(sums: &[(f64, f64)], b: &Matrix, out: &Matrix, j0: usize, je: usize) -> bool {
     let m = b.rows();
-    let l = out.rows();
     // Worst-case sequential-accumulation rounding bound γ_m ≈ m·ε, doubled
     // for the checksum side's own (much smaller) error.
     let gamma = 2.0 * m as f64 * f32::EPSILON as f64;
-    for j in j0..je {
-        let mut expected = 0.0f64;
-        let mut scale = 0.0f64;
-        for (k, &(sum_k, abs_k)) in sums.iter().enumerate().take(m) {
-            let bkj = b[(k, j)] as f64;
-            expected += sum_k * bkj;
-            scale += abs_k * bkj.abs();
-        }
-        let mut actual = 0.0f64;
-        for i in 0..l {
-            actual += out[(i, j)] as f64;
-        }
-        if (actual - expected).abs() > gamma * scale + 1e-12 {
-            return false;
+    let w = je - j0;
+    let mut expected = vec![0.0f64; w];
+    let mut scale = vec![0.0f64; w];
+    for (&(sum_k, abs_k), brow) in sums.iter().zip(b.rows_iter()) {
+        for ((e, s), &bkj) in expected.iter_mut().zip(&mut scale).zip(&brow[j0..je]) {
+            let bkj = bkj as f64;
+            *e += sum_k * bkj;
+            *s += abs_k * bkj.abs();
         }
     }
-    true
+    let mut actual = vec![0.0f64; w];
+    for orow in out.rows_iter() {
+        for (a, &v) in actual.iter_mut().zip(&orow[j0..je]) {
+            *a += v as f64;
+        }
+    }
+    let mismatch = |((&a, &e), &s): ((&f64, &f64), &f64)| (a - e).abs() > gamma * s + 1e-12;
+    !actual.iter().zip(&expected).zip(&scale).any(mismatch)
 }
 
 /// Extra PSA cycles the checksum row costs for an `(l × m) · (m × n)`

@@ -28,6 +28,23 @@
 //! `matmul` computes the exact f32 product with the same accumulation order
 //! as the hardware (sequential over `k` within a tile), so results are
 //! bit-identical to the naive reference for any operand sizes.
+//!
+//! Inside a column tile the host runs a register-blocked micro-kernel: a
+//! `[[f32; 8]; 4]` accumulator block holds 4 output rows × 8 output columns.
+//! It is loaded from `out`, then for each `k` one 8-wide slice of `b`'s row
+//! `k` is multiplied by each of the four `a[i][k]` and added, then stored
+//! back. The rows and columns left over after the 4 × 8 blocks take the
+//! plain axpy loop (`out[i] += a[i][k] · b[k]`, one `k` at a time). Both paths
+//! add each output's products `a[i][k]·b[k][j]` in increasing `k` with a
+//! separate multiply and add (Rust never fuses them), so every output gets
+//! the same operations in the same order as the naive loop — the blocking
+//! only changes which outputs are in flight together. How the rows group
+//! into waves (the PSA's `b`, the kernel's 4) therefore changes no bit.
+//!
+//! The micro-kernel walks `k` in chunks of 128 rows of `b`, so the chunk of
+//! a 64-wide tile (32 KB) stays in L1 while every row block reuses it.
+//! Between chunks a block's partial sums go to `out` as f32 and come back
+//! unchanged, so the chunking adds no rounding and no reordering.
 
 use asr_fpga_sim::{Cycles, ResourceVector};
 use asr_tensor::{ops, Matrix};
@@ -121,27 +138,32 @@ impl Psa {
         out
     }
 
-    /// Compute one column tile `[j0, je)` of the product into `out`, with the
-    /// hardware accumulation order (row waves of height `b`, sequential `k`).
+    /// Add one column tile `[j0, je)` of the product into `out`, with the
+    /// hardware accumulation order (sequential `k` for every output): 4 × 8
+    /// register blocks through the micro-kernel, 128 `k` at a time, and the
+    /// leftover rows and columns through the axpy loop (see the module docs).
     ///
     /// This is the PSA's block primitive: `matmul` is exactly a loop of these
     /// over the column tiles, and the ABFT recompute path re-runs a single
     /// failing tile through the same code — so a recomputed tile is
     /// bit-identical to a clean run by construction.
     pub fn matmul_region(&self, a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize, je: usize) {
-        let (l, m) = a.shape();
+        let l = a.rows();
         debug_assert!(je <= b.cols() && j0 < je, "bad tile [{}, {})", j0, je);
-        for i0 in (0..l).step_by(self.config.rows) {
-            let ie = (i0 + self.config.rows).min(l);
-            for i in i0..ie {
-                let arow = a.row(i);
-                let orow = &mut out.row_mut(i)[j0..je];
-                for (k, &aik) in arow.iter().enumerate().take(m) {
-                    let brow = &b.row(k)[j0..je];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += aik * bv;
-                    }
+        let l4 = l - l % KERNEL_ROWS;
+        let c_end = je - (je - j0) % KERNEL_COLS;
+        for k0 in (0..a.cols()).step_by(KERNEL_DEPTH) {
+            let ke = (k0 + KERNEL_DEPTH).min(a.cols());
+            for c0 in (j0..c_end).step_by(KERNEL_COLS) {
+                for i0 in (0..l4).step_by(KERNEL_ROWS) {
+                    micro_kernel(a, b, out, i0, c0, k0, ke);
                 }
+            }
+        }
+        for i in 0..l {
+            let lo = if i < l4 { c_end } else { j0 };
+            if lo < je {
+                axpy_row(a, b, out, i, lo, je);
             }
         }
     }
@@ -166,6 +188,57 @@ impl Psa {
     }
 }
 
+/// Output rows one [`micro_kernel`] call keeps in registers.
+const KERNEL_ROWS: usize = 4;
+/// Output columns one [`micro_kernel`] call keeps in registers.
+const KERNEL_COLS: usize = 8;
+/// Rows of `b` per [`micro_kernel`] call: one 64-wide tile's chunk is 32 KB.
+const KERNEL_DEPTH: usize = 128;
+
+/// `out[i0..i0+4][c0..c0+8] += a[i0..i0+4][k0..ke] · b[k0..ke][c0..c0+8]`
+/// with every output summed over `k` in increasing order: the accumulators
+/// start from `out`, each `k` adds one product per output (a separate
+/// multiply and add, never a fused one), and the sums are stored back after
+/// `ke - 1`. One `b` row slice per `k` serves all four `a` rows.
+fn micro_kernel(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    i0: usize,
+    c0: usize,
+    k0: usize,
+    ke: usize,
+) {
+    let mut acc = [[0.0f32; KERNEL_COLS]; KERNEL_ROWS];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r.copy_from_slice(&out.row(i0 + r)[c0..c0 + KERNEL_COLS]);
+    }
+    let arows: [&[f32]; KERNEL_ROWS] = std::array::from_fn(|r| &a.row(i0 + r)[k0..ke]);
+    for (k, brow) in b.rows_iter().skip(k0).take(ke - k0).enumerate() {
+        let bk = &brow[c0..c0 + KERNEL_COLS];
+        for (acc_r, arow) in acc.iter_mut().zip(&arows) {
+            let aik = arow[k];
+            for (o, &bv) in acc_r.iter_mut().zip(bk) {
+                *o += aik * bv;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out.row_mut(i0 + r)[c0..c0 + KERNEL_COLS].copy_from_slice(acc_r);
+    }
+}
+
+/// `out[i][c0..ce] += a[i] · b[..][c0..ce]`, one `k` at a time: the scalar
+/// path for the rows and columns the micro-kernel's 4 × 8 blocks leave over.
+fn axpy_row(a: &Matrix, b: &Matrix, out: &mut Matrix, i: usize, c0: usize, ce: usize) {
+    let orow = &mut out.row_mut(i)[c0..ce];
+    for (&aik, brow) in a.row(i).iter().zip(b.rows_iter()) {
+        for (o, &bv) in orow.iter_mut().zip(&brow[c0..ce]) {
+            *o += aik * bv;
+        }
+    }
+}
+
 /// Split an `(l × m) · (m × n)` product into per-k partial sums exactly as the
 /// naive loop would, used by tests to pin the accumulation order.
 pub fn reference_same_order(a: &Matrix, b: &Matrix) -> Matrix {
@@ -185,6 +258,20 @@ mod tests {
             let b = init::uniform(m, n, -1.0, 1.0, (m + n) as u64);
             // Same k-accumulation order => exactly equal, not just close.
             assert_eq!(psa.matmul(&a, &b), reference_same_order(&a, &b));
+        }
+        // Every micro-kernel remainder: l = 1..=9 gives 0–2 full 4-row
+        // blocks and every row remainder; n gives every column remainder
+        // below 8, partial 8-column blocks and partial 64-wide tiles; m
+        // crosses the 128-deep `k` chunks. Positive `a` times negative `b`
+        // keeps every sum away from zero, whose sign `==` cannot see.
+        for n in (1..=17).chain([63, 64, 65, 70, 127, 128, 129, 200]) {
+            for l in 1..=9 {
+                for m in [1, 7, 33, 70, 128, 129, 300] {
+                    let a = init::uniform(l, m, 0.25, 1.0, (l * 1000 + m) as u64);
+                    let b = init::uniform(m, n, -1.0, -0.25, (m * 1000 + n) as u64);
+                    assert_eq!(psa.matmul(&a, &b), reference_same_order(&a, &b), "{l}x{m}x{n}");
+                }
+            }
         }
     }
 

@@ -22,13 +22,6 @@ proptest! {
     }
 
     #[test]
-    fn psa_bitwise_matches_naive(l in 1usize..40, m in 1usize..80, n in 1usize..80, seed in 0u64..500) {
-        let a = init::uniform(l, m, -1.0, 1.0, seed);
-        let b = init::uniform(m, n, -1.0, 1.0, seed + 1);
-        prop_assert_eq!(Psa::paper_default().matmul(&a, &b), ops::matmul_naive(&a, &b));
-    }
-
-    #[test]
     fn psa_cycles_monotone_in_each_dim(l in 1usize..32, m in 1usize..128, n in 1usize..128) {
         let psa = Psa::paper_default();
         let base = psa.cycles(l, m, n);
@@ -133,5 +126,106 @@ proptest! {
         prop_assert_eq!(stats.detected, stats.corrupted_tiles);
         prop_assert_eq!(stats.recomputed, stats.corrupted_tiles);
         prop_assert_eq!(repaired, clean);
+    }
+}
+
+/// Per-block case count: `PROPTEST_CASES` when set, else `default`. The
+/// vendored proptest does not read the environment itself.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
+/// Uniform operands with no exact zeros: `matmul_naive` skips a zero `a_ik`,
+/// which can change the sign of a zero sum, so exact zeros would make a
+/// bit-for-bit comparison test the reference rather than the kernel.
+fn nonzero(rows: usize, cols: usize, seed: u64) -> asr_tensor::Matrix {
+    let mut m = init::uniform(rows, cols, -1.0, 1.0, seed);
+    m.map_inplace(|v| if v == 0.0 { 0.5 } else { v });
+    m
+}
+
+/// The PSA tile loop before register blocking: one output row at a time,
+/// `k` outer, columns inner.
+fn axpy_region(
+    a: &asr_tensor::Matrix,
+    b: &asr_tensor::Matrix,
+    out: &mut asr_tensor::Matrix,
+    j0: usize,
+    je: usize,
+) {
+    for i in 0..a.rows() {
+        let orow = &mut out.row_mut(i)[j0..je];
+        for (k, &aik) in a.row(i).iter().enumerate() {
+            for (o, &bv) in orow.iter_mut().zip(&b.row(k)[j0..je]) {
+                *o += aik * bv;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(env_cases(64))]
+
+    #[test]
+    fn psa_bitwise_matches_naive(l in 1usize..40, m in 1usize..300, n in 1usize..201, seed in 0u64..1000) {
+        // Every kernel remainder: l spans full 4-row blocks plus 0–3
+        // leftover rows; n spans n < 8, partial 8-column blocks and partial
+        // 64-wide tiles; m spans one to three 128-deep `k` chunks.
+        let a = nonzero(l, m, seed);
+        let b = nonzero(m, n, seed + 1);
+        let got = Psa::paper_default().matmul(&a, &b);
+        let want = ops::matmul_naive(&a, &b);
+        prop_assert!(
+            got.as_slice().iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{}x{}x{} differs from matmul_naive", l, m, n
+        );
+    }
+
+    #[test]
+    fn matmul_region_into_a_nonzero_out_keeps_the_axpy_order(
+        l in 1usize..10, m in 1usize..300, n in 1usize..201, cut in 0usize..1000, seed in 0u64..1000
+    ) {
+        let a = nonzero(l, m, seed);
+        let b = nonzero(m, n, seed + 1);
+        let start = nonzero(l, n, seed + 2);
+        let j0 = cut % n;
+        let je = j0 + 1 + (cut / 7) % (n - j0);
+        let (mut got, mut want) = (start.clone(), start);
+        Psa::paper_default().matmul_region(&a, &b, &mut got, j0, je);
+        axpy_region(&a, &b, &mut want, j0, je);
+        prop_assert!(
+            got.as_slice().iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{}x{}x{} tile [{}, {}) differs from the axpy order", l, m, n, j0, je
+        );
+    }
+
+    #[test]
+    fn checked_psa_counts_every_lane_fault_on_a_partial_last_tile(
+        l in 1usize..10, m in 1usize..40, tiles in 0usize..3, tail in 1usize..64, seed in 0u64..1000
+    ) {
+        // n % 64 != 0: the last tile is `tail` wide, so lanes at or past
+        // `tail` corrupt one tile fewer than the lanes below it.
+        let n = tiles * 64 + tail;
+        let psa = Psa::paper_default();
+        let a = nonzero(l, m, seed);
+        let b = nonzero(m, n, seed + 1);
+        let clean = psa.matmul(&a, &b);
+        for lane in 0..64 {
+            let eng = CheckedPsa::with_fault(
+                psa,
+                IntegrityLevel::DetectAndRecompute,
+                Some(LaneFault { lane, delta: 1.0 }),
+            );
+            let repaired = asr_systolic::PsaMatmul::matmul(&eng, &a, &b);
+            let stats = eng.stats();
+            let hit = (tiles + usize::from(lane < tail)) as u64;
+            prop_assert_eq!(stats.checked_tiles, (tiles + 1) as u64);
+            prop_assert_eq!(stats.corrupted_tiles, hit, "lane {}", lane);
+            prop_assert_eq!(stats.detected, hit, "lane {}", lane);
+            prop_assert_eq!(stats.recomputed, hit, "lane {}", lane);
+            prop_assert_eq!(&repaired, &clean, "lane {}", lane);
+        }
     }
 }

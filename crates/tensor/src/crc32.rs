@@ -1,11 +1,12 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //!
-//! Hand-rolled table-driven implementation used as the integrity envelope on
-//! weight stripes: checksums are computed once at model-export time and
-//! re-verified on every HBM prefetch, so a silently flipped bit in a stripe is
-//! caught *before* it reaches the PSAs (DESIGN.md §9). A CRC-32 detects every
-//! single-bit error and every burst error up to 32 bits — exactly the fault
-//! classes the HBM/DMA corruption model injects.
+//! Hand-rolled table-driven implementation (slicing-by-8: eight bytes per
+//! step) used as the integrity envelope on weight stripes: checksums are
+//! computed once at model-export time and re-verified on every HBM prefetch,
+//! so a silently flipped bit in a stripe is caught *before* it reaches the
+//! PSAs (DESIGN.md §9). A CRC-32 detects every single-bit error and every
+//! burst error up to 32 bits — exactly the fault classes the HBM/DMA
+//! corruption model injects.
 
 /// The reflected IEEE 802.3 generator polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -26,8 +27,27 @@ const fn make_table() -> [u32; 256] {
     table
 }
 
-/// Byte-at-a-time lookup table, built at compile time.
-static TABLE: [u32; 256] = make_table();
+/// Slicing-by-8 tables: `TABLES[0]` is the byte-at-a-time table, and
+/// `TABLES[t][b]` is the CRC state contribution of byte `b` followed by `t`
+/// zero bytes, so eight table lookups fold eight bytes.
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    tables[0] = make_table();
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+}
+
+/// The lookup tables, built at compile time.
+static TABLES: [[u32; 256]; 8] = make_tables();
 
 /// Streaming CRC-32 state, for checksumming a stripe in chunks.
 #[derive(Debug, Clone, Copy)]
@@ -47,11 +67,25 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `bytes` into the running checksum.
+    /// Fold `bytes` into the running checksum: eight bytes per step through
+    /// the slicing-by-8 tables, the tail one byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ self.state;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            self.state = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
             let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = TABLE[idx] ^ (self.state >> 8);
+            self.state = TABLES[0][idx] ^ (self.state >> 8);
         }
     }
 
@@ -88,6 +122,45 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), crc32(&data));
+    }
+
+    /// The byte-at-a-time loop over the one 256-entry table.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        let table = make_table();
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            state = table[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        !state
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_at_every_length_and_split() {
+        // splitmix64: random contents, lengths 0..=100 and split points.
+        let mut x = 0x5EED_u64;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for round in 0..2_000 {
+            let len = (next() % 101) as usize;
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let want = bytewise(&data);
+            assert_eq!(crc32(&data), want, "one-shot, len {}", len);
+            let mut cuts: Vec<usize> =
+                (0..(round % 4)).map(|_| (next() % (len as u64 + 1)) as usize).collect();
+            cuts.sort_unstable();
+            let mut h = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain(std::iter::once(len)) {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            assert_eq!(h.finalize(), want, "streamed, len {}", len);
+        }
     }
 
     #[test]

@@ -256,8 +256,10 @@ fn put_f32s(out: &mut Vec<u8>, vals: impl IntoIterator<Item = f32>) {
 pub fn encode(m: &Matrix, spec: WeightEncoding) -> (StripeEncoding, Vec<u8>) {
     match spec {
         WeightEncoding::Dense => {
-            let mut bytes = Vec::with_capacity(m.len() * 4);
-            put_f32s(&mut bytes, m.as_slice().iter().copied());
+            let mut bytes = vec![0u8; m.len() * 4];
+            for (word, v) in bytes.chunks_exact_mut(4).zip(m.as_slice()) {
+                word.copy_from_slice(&v.to_le_bytes());
+            }
             (StripeEncoding::DenseF32, bytes)
         }
         WeightEncoding::Int8 => {
