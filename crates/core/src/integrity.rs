@@ -35,8 +35,8 @@ use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_frontend::vocab::{self, TokenId};
 use asr_systolic::abft::{AbftStats, CheckedPsa, IntegrityLevel, LaneFault};
 use asr_tensor::{crc32, init, Matrix, WeightEncoding};
-use asr_transformer::beam::{log_softmax, Hypothesis};
-use asr_transformer::cache::{self, KvCache};
+use asr_transformer::beam::{advance_beam, Hypothesis};
+use asr_transformer::cache::KvCache;
 use asr_transformer::decoder::decoder_forward;
 use asr_transformer::weights::{ModelWeights, WeightStripe};
 use asr_transformer::Model;
@@ -1104,15 +1104,17 @@ impl FunctionalDecodeRun {
 /// KV-cached beam decode where EVERY step first lowers its
 /// [`DecodeStepSpec`] plan against the previous step's pinned stripes
 /// ([`ExecPlan::decode_pinned_stripes`]) — recording exactly which bytes
-/// the accelerator would fetch versus elide — and then scores all live
-/// hypotheses through one coalesced [`cache::step_beam`] on the checked
-/// engine.
+/// the accelerator would fetch versus elide — and then advances the beam
+/// through [`advance_beam`] (one coalesced
+/// [`step_beam`](asr_transformer::cache::step_beam) over all live
+/// hypotheses) on the checked engine.
 ///
 /// At `beam = 1` the continuation choice ties-to-last like
-/// [`cache::greedy_decode_with`]'s argmax, so the twin's tokens are
-/// bit-identical to the cached greedy path — including under silent faults
-/// at `DetectAndRecompute`, where the CRC envelope and the ABFT recompute
-/// restore the clean bits before they reach the beam. Pinned by tests and
+/// [`greedy_decode_with`](asr_transformer::cache::greedy_decode_with)'s
+/// argmax, so the twin's tokens are bit-identical to the cached greedy
+/// path — including under silent faults at `DetectAndRecompute`, where the
+/// CRC envelope and the ABFT recompute restore the clean bits before they
+/// reach the beam. Pinned by tests and
 /// `decode_proptests`.
 pub fn run_functional_decode(
     cfg: &AccelConfig,
@@ -1174,45 +1176,11 @@ pub fn run_functional_decode(
         resident = plan.decode_pinned_stripes();
         steps += 1;
 
-        // One coalesced batch-of-B step over every live hypothesis — the
-        // same arithmetic `beam_search_cached` runs, on the checked engine.
-        let live: Vec<usize> =
-            beams.iter().enumerate().filter(|(_, (h, _))| !h.finished).map(|(i, _)| i).collect();
-        let fronts: Vec<TokenId> =
-            live.iter().map(|&i| *beams[i].0.tokens.last().expect("non-empty")).collect();
-        let mut caches: Vec<KvCache> = live.iter().map(|&i| beams[i].1.clone()).collect();
-        let logits = cache::step_beam(&model, &fronts, &mut caches, &engine);
-        guard_activations(&logits, "decode logits")?;
-
-        let mut candidates: Vec<(Hypothesis, KvCache)> = Vec::with_capacity(beams.len() * beam);
-        let mut row = 0usize;
-        for (hyp, kv) in &beams {
-            if hyp.finished {
-                candidates.push((hyp.clone(), kv.clone()));
-                continue;
-            }
-            let lp = log_softmax(logits.row(row));
-            // Descending log-prob, ties to the higher token id — the same
-            // order `beam_search_cached` uses, so beam 1 == greedy.
-            let mut idx: Vec<usize> = (0..lp.len()).collect();
-            idx.sort_by(|&a, &b| lp[b].partial_cmp(&lp[a]).unwrap().then(b.cmp(&a)));
-            for &t in idx.iter().take(beam) {
-                let mut tokens = hyp.tokens.clone();
-                tokens.push(t);
-                candidates.push((
-                    Hypothesis {
-                        tokens,
-                        log_prob: hyp.log_prob + lp[t],
-                        finished: t == vocab::EOS,
-                    },
-                    caches[row].clone(),
-                ));
-            }
-            row += 1;
-        }
-        candidates.sort_by(|a, b| b.0.score(0.0).partial_cmp(&a.0.score(0.0)).unwrap());
-        candidates.truncate(beam);
-        beams = candidates;
+        // The same beam step `beam_search_cached` runs, on the checked
+        // engine, with no length penalty.
+        beams = advance_beam(&model, beams, beam, 0.0, &engine, |logits| {
+            guard_activations(logits, "decode logits")
+        })?;
     }
     beams.sort_by(|a, b| b.0.score(0.0).partial_cmp(&a.0.score(0.0)).unwrap());
 
@@ -1253,6 +1221,8 @@ pub fn small_config() -> AccelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asr_transformer::beam::log_softmax;
+    use asr_transformer::cache;
 
     fn cfg_at(level: IntegrityLevel) -> AccelConfig {
         let mut c = small_config();
@@ -1728,6 +1698,51 @@ mod tests {
             assert_eq!(run.tokens, reference_greedy(&cfg, 7, 11), "fault seed {}", seed);
             assert_eq!(run.counters.escaped, 0, "fault seed {}", seed);
         }
+    }
+
+    #[test]
+    fn decode_twin_hypotheses_replay_to_their_log_prob_bits() {
+        // Every survivor must carry its own prefix's cache through the
+        // shared beam step: replaying its tokens through solo steps on a
+        // fresh cache gives the same log-prob sum, bit for bit.
+        let cfg = cfg_at(IntegrityLevel::DetectAndRecompute);
+        let model = Model { config: cfg.model, weights: ModelWeights::seeded(&cfg.model, 7) };
+        let engine = CheckedPsa::with_fault(cfg.psa_engine(), cfg.integrity, None);
+        let mut longest = 0;
+        for (mem_len, input_seed) in [(6usize, 11u64), (3, 12), (8, 13)] {
+            let features = init::uniform(mem_len, cfg.model.d_model, -0.5, 0.5, input_seed);
+            let memory = model.encode(&features, &engine);
+            for beam in [1usize, 2, 4] {
+                let run = run_functional_decode(
+                    &cfg,
+                    7,
+                    input_seed,
+                    mem_len,
+                    8,
+                    beam,
+                    &FunctionalFaults::none(),
+                )
+                .unwrap();
+                for h in &run.hypotheses {
+                    let mut kv = KvCache::new(&model, &memory, &engine);
+                    let mut sum = 0.0f32;
+                    for w in h.tokens.windows(2) {
+                        let logits = cache::step(&model, w[0], &mut kv, &engine);
+                        sum += log_softmax(logits.row(0))[w[1]];
+                    }
+                    assert_eq!(
+                        sum.to_bits(),
+                        h.log_prob.to_bits(),
+                        "mem {} beam {} tokens {:?}",
+                        mem_len,
+                        beam,
+                        h.tokens
+                    );
+                    longest = longest.max(h.tokens.len());
+                }
+            }
+        }
+        assert!(longest >= 4, "some hypothesis must survive several steps");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! ## Functional model
 //!
 //! `matmul` computes the exact f32 product with the same accumulation order
-//! as the hardware (sequential over `k` within a tile), so results are
+//! as the hardware (sequential over `k` for every output), so results are
 //! bit-identical to the naive reference for any operand sizes.
 //!
 //! Inside a column tile the host runs a register-blocked micro-kernel: a
@@ -45,6 +45,24 @@
 //! a 64-wide tile (32 KB) stays in L1 while every row block reuses it.
 //! Between chunks a block's partial sums go to `out` as f32 and come back
 //! unchanged, so the chunking adds no rounding and no reordering.
+//!
+//! ## Skinny products
+//!
+//! A beam decode step multiplies at most 4 rows (one per hypothesis) by
+//! every decoder weight, so each `b` value serves at most 4 multiplies and
+//! the product runs as fast as `b` can be read. A tile walk reads `b` badly
+//! for that: each 64-wide tile takes a 256 B slice of every row, so one
+//! pass over `b` jumps between rows `n` floats apart. For `a` with 1 to 4
+//! rows, `matmul` therefore walks whole rows instead: `k` in chunks of 16
+//! rows of `b`, and inside a chunk `R × 8` register blocks (`R` = the row
+//! count) across all of `[0, n)`. `b` is then read as 16 sequential row
+//! streams, in the order it is stored. The columns after the last full
+//! 8-column block take the axpy loop. Every output still adds its products
+//! in increasing `k` with a separate multiply and add, so this path is
+//! bit-identical to `matmul_naive` and to the tile loop.
+//!
+//! `matmul_region` serves the wider products and is the unit `CheckedPsa`
+//! checks and recomputes, tile by tile, on every path.
 
 use asr_fpga_sim::{Cycles, ResourceVector};
 use asr_tensor::{ops, Matrix};
@@ -115,9 +133,11 @@ impl Psa {
 
     /// Functional product `a · b` with hardware-faithful accumulation order.
     ///
-    /// Tiles over output columns (width `w`) and row waves (height `b`), and
-    /// accumulates sequentially over `k` inside each tile — the same order the
-    /// PE chain applies, so this is bit-identical to the naive triple loop.
+    /// Products of 1 to 4 rows stream whole rows of `b` (see the module
+    /// docs); wider ones tile over output columns (width `w`) with
+    /// [`matmul_region`](Self::matmul_region). Both accumulate sequentially
+    /// over `k` for every output — the order the PE chain applies — so this
+    /// is bit-identical to the naive triple loop.
     pub fn matmul(&self, a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(
             a.cols(),
@@ -131,9 +151,17 @@ impl Psa {
         let l = a.rows();
         let n = b.cols();
         let mut out = Matrix::zeros(l, n);
-        for j0 in (0..n).step_by(self.config.cols) {
-            let je = (j0 + self.config.cols).min(n);
-            self.matmul_region(a, b, &mut out, j0, je);
+        match l {
+            1 => stream_rows::<1>(a, b, &mut out),
+            2 => stream_rows::<2>(a, b, &mut out),
+            3 => stream_rows::<3>(a, b, &mut out),
+            4 => stream_rows::<4>(a, b, &mut out),
+            _ => {
+                for j0 in (0..n).step_by(self.config.cols) {
+                    let je = (j0 + self.config.cols).min(n);
+                    self.matmul_region(a, b, &mut out, j0, je);
+                }
+            }
         }
         out
     }
@@ -143,9 +171,9 @@ impl Psa {
     /// register blocks through the micro-kernel, 128 `k` at a time, and the
     /// leftover rows and columns through the axpy loop (see the module docs).
     ///
-    /// This is the PSA's block primitive: `matmul` is exactly a loop of these
-    /// over the column tiles, and the ABFT recompute path re-runs a single
-    /// failing tile through the same code — so a recomputed tile is
+    /// This is the PSA's block primitive: `matmul` is bit-identical to a loop
+    /// of these over the column tiles, and the ABFT recompute path re-runs a
+    /// single failing tile through the same code — so a recomputed tile is
     /// bit-identical to a clean run by construction.
     pub fn matmul_region(&self, a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize, je: usize) {
         let l = a.rows();
@@ -228,6 +256,60 @@ fn micro_kernel(
     }
 }
 
+/// Rows of `b` one [`stream_rows`] chunk reads side by side.
+const STREAM_DEPTH: usize = 16;
+
+/// `out += a · b` for an `a` of exactly `R` (≤ [`KERNEL_ROWS`]) rows, the
+/// decode shape: `k` in chunks of [`STREAM_DEPTH`] rows of `b`, and inside a
+/// chunk `R × 8` register blocks across the whole row `[0, n)`, so `b` is
+/// read as `STREAM_DEPTH` sequential row streams. Each block's sums start
+/// from `out` and go back to it after the chunk, so every output still adds
+/// its products in increasing `k` with a separate multiply and add. Columns
+/// past the last full 8-block take the axpy loop.
+fn stream_rows<const R: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    debug_assert_eq!(a.rows(), R);
+    let (m, n) = (a.cols(), b.cols());
+    let c_end = n - n % KERNEL_COLS;
+    for k0 in (0..m).step_by(STREAM_DEPTH) {
+        let kn = (m - k0).min(STREAM_DEPTH);
+        // Each `a[i][k]` of the chunk, repeated four times: the multiply
+        // then loads it as a ready 4-lane vector instead of broadcasting it
+        // again in every block. Same value, so the same products.
+        let mut av = [[[0.0f32; 4]; STREAM_DEPTH]; R];
+        for (r, av_r) in av.iter_mut().enumerate() {
+            for (dst, &x) in av_r.iter_mut().zip(&a.row(r)[k0..k0 + kn]) {
+                *dst = [x; 4];
+            }
+        }
+        let brows: [&[f32]; STREAM_DEPTH] =
+            std::array::from_fn(|kk| if kk < kn { b.row(k0 + kk) } else { &[] });
+        for c0 in (0..c_end).step_by(KERNEL_COLS) {
+            let mut acc = [[0.0f32; KERNEL_COLS]; R];
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                acc_r.copy_from_slice(&out.row(r)[c0..c0 + KERNEL_COLS]);
+            }
+            for (kk, brow) in brows[..kn].iter().enumerate() {
+                let bk: &[f32; KERNEL_COLS] =
+                    brow[c0..c0 + KERNEL_COLS].try_into().expect("8-wide block");
+                for (acc_r, av_r) in acc.iter_mut().zip(&av) {
+                    let a4 = &av_r[kk];
+                    for (j, (o, &bv)) in acc_r.iter_mut().zip(bk).enumerate() {
+                        *o += a4[j % 4] * bv;
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                out.row_mut(r)[c0..c0 + KERNEL_COLS].copy_from_slice(acc_r);
+            }
+        }
+    }
+    if c_end < n {
+        for i in 0..R {
+            axpy_row(a, b, out, i, c_end, n);
+        }
+    }
+}
+
 /// `out[i][c0..ce] += a[i] · b[..][c0..ce]`, one `k` at a time: the scalar
 /// path for the rows and columns the micro-kernel's 4 × 8 blocks leave over.
 fn axpy_row(a: &Matrix, b: &Matrix, out: &mut Matrix, i: usize, c0: usize, ce: usize) {
@@ -271,6 +353,40 @@ mod tests {
                     let b = init::uniform(m, n, -1.0, -0.25, (m * 1000 + n) as u64);
                     assert_eq!(psa.matmul(&a, &b), reference_same_order(&a, &b), "{l}x{m}x{n}");
                 }
+            }
+        }
+    }
+
+    /// The wide path for any row count: `matmul_region` over every 64-wide
+    /// tile, from zeros.
+    fn tile_loop(psa: &Psa, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for j0 in (0..b.cols()).step_by(psa.config.cols) {
+            psa.matmul_region(a, b, &mut out, j0, (j0 + psa.config.cols).min(b.cols()));
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn skinny_path_is_bit_identical_to_naive_and_to_the_tile_loop() {
+        // 1–4 rows take the row-streaming path: the decode shapes, every
+        // `n % 8` remainder, and `m` on both sides of the 16-row `k` chunks.
+        // Positive `a` times negative `b` keeps every sum away from zero.
+        let psa = Psa::paper_default();
+        let decode = [(512, 64), (512, 512), (512, 2048), (2048, 512), (512, 31)];
+        let widths = (1..=24).map(|n| (37, n));
+        let depths = [1, 15, 16, 17, 31, 32, 33, 48, 63].map(|m| (m, 21));
+        for (m, n) in decode.into_iter().chain(widths).chain(depths) {
+            for l in 1..=4 {
+                let a = init::uniform(l, m, 0.25, 1.0, (l * 7919 + m) as u64);
+                let b = init::uniform(m, n, -1.0, -0.25, (m * 7919 + n) as u64);
+                let got = bits(&psa.matmul(&a, &b));
+                assert_eq!(got, bits(&reference_same_order(&a, &b)), "{l}x{m}x{n} vs naive");
+                assert_eq!(got, bits(&tile_loop(&psa, &a, &b)), "{l}x{m}x{n} vs tiles");
             }
         }
     }

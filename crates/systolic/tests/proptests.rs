@@ -165,6 +165,23 @@ fn axpy_region(
     }
 }
 
+/// Equal to the bit, so a flipped zero sign or a reordered sum shows.
+fn same_bits(x: &asr_tensor::Matrix, y: &asr_tensor::Matrix) -> bool {
+    x.shape() == y.shape()
+        && x.as_slice().iter().zip(y.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+/// The wide path for any row count: `matmul_region` over every 64-wide
+/// tile of the paper PSA, from zeros.
+fn tile_loop(a: &asr_tensor::Matrix, b: &asr_tensor::Matrix) -> asr_tensor::Matrix {
+    let psa = Psa::paper_default();
+    let mut out = asr_tensor::Matrix::zeros(a.rows(), b.cols());
+    for j0 in (0..b.cols()).step_by(64) {
+        psa.matmul_region(a, b, &mut out, j0, (j0 + 64).min(b.cols()));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(env_cases(64))]
 
@@ -181,6 +198,31 @@ proptest! {
             got.as_slice().iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
             "{}x{}x{} differs from matmul_naive", l, m, n
         );
+    }
+
+    #[test]
+    fn skinny_psa_matches_naive_and_the_tile_loop_at_decode_shapes(
+        l in 1usize..=4, shape in 0usize..5, seed in 0u64..1000
+    ) {
+        let (m, n) = [(512, 64), (512, 512), (512, 2048), (2048, 512), (512, 31)][shape];
+        let a = nonzero(l, m, seed);
+        let b = nonzero(m, n, seed + 1);
+        let got = Psa::paper_default().matmul(&a, &b);
+        prop_assert!(same_bits(&got, &ops::matmul_naive(&a, &b)), "{}x{}x{} vs naive", l, m, n);
+        prop_assert!(same_bits(&got, &tile_loop(&a, &b)), "{}x{}x{} vs tiles", l, m, n);
+    }
+
+    #[test]
+    fn skinny_psa_matches_naive_and_the_tile_loop_at_any_width(
+        l in 1usize..=4, m in 1usize..100, n in 1usize..300, seed in 0u64..1000
+    ) {
+        // Random n covers every `n % 8` column tail; m spans one to seven
+        // 16-row `k` chunks, full and partial.
+        let a = nonzero(l, m, seed);
+        let b = nonzero(m, n, seed + 1);
+        let got = Psa::paper_default().matmul(&a, &b);
+        prop_assert!(same_bits(&got, &ops::matmul_naive(&a, &b)), "{}x{}x{} vs naive", l, m, n);
+        prop_assert!(same_bits(&got, &tile_loop(&a, &b)), "{}x{}x{} vs tiles", l, m, n);
     }
 
     #[test]

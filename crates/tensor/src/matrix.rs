@@ -215,6 +215,20 @@ impl Matrix {
         out
     }
 
+    /// Append one row in place: the same matrix `vconcat` of `self` and a
+    /// `1 × cols` matrix would build, without copying the rows already here.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(
+            row.len(),
+            self.cols,
+            "push_row: row length {} != {} cols",
+            row.len(),
+            self.cols
+        );
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
     /// Zero-pad to `(rows, cols)`, keeping this matrix in the top-left corner.
     ///
     /// Used by the MM2/MM3 schemes, which pad small operands up to the PSA
@@ -392,6 +406,10 @@ mod tests {
         let v = Matrix::vconcat(&[&h, &c]);
         assert_eq!(v.shape(), (3, 5));
         assert_eq!(v[(2, 4)], 3.0);
+
+        let mut grown = h.clone();
+        grown.push_row(c.row(0));
+        assert_eq!(grown, v);
     }
 
     #[test]

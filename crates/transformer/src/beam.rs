@@ -10,6 +10,7 @@ use crate::cache::{self, KvCache};
 use crate::model::Model;
 use asr_frontend::vocab::{self, TokenId};
 use asr_tensor::{MatMul, Matrix};
+use std::convert::Infallible;
 
 /// Beam-search parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,8 +107,8 @@ pub fn beam_search(
 }
 
 /// KV-cached, kernel-coalesced beam search: the cross-attention K/V are
-/// projected ONCE from the memory and shared (cloned) across the whole beam,
-/// each hypothesis keeps its own self-attention cache, and every step scores
+/// projected ONCE from the memory and shared across the whole beam, each
+/// hypothesis keeps its own self-attention cache, and every step scores
 /// ALL live hypotheses through one [`cache::step_beam`] — a single
 /// batch-of-`B` kernel per weight matmul, exactly the coalesced `Compute`
 /// shape `PlanBuilder::decode_step` lowers. `O(T)` projections per
@@ -132,51 +133,91 @@ pub fn beam_search_cached(
         if beams.iter().all(|(h, _)| h.finished) {
             break;
         }
-        // One coalesced batch-of-B step over every live hypothesis.
-        let live: Vec<usize> =
-            beams.iter().enumerate().filter(|(_, (h, _))| !h.finished).map(|(i, _)| i).collect();
-        let fronts: Vec<TokenId> =
-            live.iter().map(|&i| *beams[i].0.tokens.last().expect("non-empty")).collect();
-        let mut caches: Vec<KvCache> = live.iter().map(|&i| beams[i].1.clone()).collect();
-        let logits = cache::step_beam(model, &fronts, &mut caches, backend);
-
-        let mut candidates: Vec<(Hypothesis, KvCache)> = Vec::with_capacity(beams.len() * cfg.beam);
-        let mut row = 0usize;
-        for (hyp, kv) in &beams {
-            if hyp.finished {
-                candidates.push((hyp.clone(), kv.clone()));
-                continue;
-            }
-            let lp = log_softmax(logits.row(row));
-            // Descending log-prob; ties prefer the higher token id so a
-            // width-1 beam picks exactly what greedy's ties-to-last argmax
-            // picks.
-            let mut idx: Vec<usize> = (0..lp.len()).collect();
-            idx.sort_by(|&a, &b| lp[b].partial_cmp(&lp[a]).unwrap().then(b.cmp(&a)));
-            for &t in idx.iter().take(cfg.beam) {
-                let mut tokens = hyp.tokens.clone();
-                tokens.push(t);
-                candidates.push((
-                    Hypothesis {
-                        tokens,
-                        log_prob: hyp.log_prob + lp[t],
-                        finished: t == vocab::EOS,
-                    },
-                    caches[row].clone(),
-                ));
-            }
-            row += 1;
-        }
-        candidates.sort_by(|a, b| {
-            b.0.score(cfg.length_penalty).partial_cmp(&a.0.score(cfg.length_penalty)).unwrap()
+        let Ok(next) = advance_beam(model, beams, cfg.beam, cfg.length_penalty, backend, |_| {
+            Ok::<(), Infallible>(())
         });
-        candidates.truncate(cfg.beam);
-        beams = candidates;
+        beams = next;
     }
     beams.sort_by(|a, b| {
         b.0.score(cfg.length_penalty).partial_cmp(&a.0.score(cfg.length_penalty)).unwrap()
     });
     beams.into_iter().map(|(h, _)| h).collect()
+}
+
+/// One step of a cached beam: feed every live hypothesis's newest token
+/// through one coalesced [`cache::step_beam`], expand each into its `width`
+/// most likely continuations, and keep the `width` best candidates by
+/// [`Hypothesis::score`] under `length_penalty`. Finished hypotheses pass
+/// through as candidates without a step. At least one hypothesis must be
+/// live.
+///
+/// `check` sees the step's logits before any are scored; its error aborts
+/// the step (the decode twin refuses non-finite logits this way).
+///
+/// The live caches move into the step and back, and a candidate carries
+/// only the index of the hypothesis it extends. Only the survivors then
+/// take a cache: the first survivor of a hypothesis gets its cache moved,
+/// any further one a clone, which copies just the self-attention rows
+/// because the cross K/V are shared.
+pub fn advance_beam<E>(
+    model: &Model,
+    beams: Vec<(Hypothesis, KvCache)>,
+    width: usize,
+    length_penalty: f32,
+    backend: &dyn MatMul,
+    check: impl FnOnce(&Matrix) -> Result<(), E>,
+) -> Result<Vec<(Hypothesis, KvCache)>, E> {
+    let (hyps, caches): (Vec<Hypothesis>, Vec<KvCache>) = beams.into_iter().unzip();
+    let mut slots: Vec<Option<KvCache>> = caches.into_iter().map(Some).collect();
+    let live: Vec<usize> = (0..hyps.len()).filter(|&i| !hyps[i].finished).collect();
+    let fronts: Vec<TokenId> =
+        live.iter().map(|&i| *hyps[i].tokens.last().expect("non-empty")).collect();
+    let mut stepped: Vec<KvCache> =
+        live.iter().map(|&i| slots[i].take().expect("one cache per hypothesis")).collect();
+    let logits = cache::step_beam(model, &fronts, &mut stepped, backend);
+    for (&i, kv) in live.iter().zip(stepped) {
+        slots[i] = Some(kv);
+    }
+    check(&logits)?;
+
+    let mut candidates: Vec<(Hypothesis, usize)> = Vec::with_capacity(hyps.len() * width);
+    let mut row = 0usize;
+    for (src, hyp) in hyps.into_iter().enumerate() {
+        if hyp.finished {
+            candidates.push((hyp, src));
+            continue;
+        }
+        let lp = log_softmax(logits.row(row));
+        row += 1;
+        // Descending log-prob; ties prefer the higher token id so a
+        // width-1 beam picks exactly what greedy's ties-to-last argmax
+        // picks.
+        let mut idx: Vec<usize> = (0..lp.len()).collect();
+        idx.sort_by(|&a, &b| lp[b].partial_cmp(&lp[a]).unwrap().then(b.cmp(&a)));
+        for &t in idx.iter().take(width) {
+            let mut tokens = hyp.tokens.clone();
+            tokens.push(t);
+            let next =
+                Hypothesis { tokens, log_prob: hyp.log_prob + lp[t], finished: t == vocab::EOS };
+            candidates.push((next, src));
+        }
+    }
+    candidates
+        .sort_by(|a, b| b.0.score(length_penalty).partial_cmp(&a.0.score(length_penalty)).unwrap());
+    candidates.truncate(width);
+
+    let mut uses = vec![0usize; slots.len()];
+    for &(_, src) in &candidates {
+        uses[src] += 1;
+    }
+    Ok(candidates
+        .into_iter()
+        .map(|(hyp, src)| {
+            uses[src] -= 1;
+            let kv = if uses[src] == 0 { slots[src].take() } else { slots[src].clone() };
+            (hyp, kv.expect("a cache moves only to the last survivor that uses it"))
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -262,6 +303,41 @@ mod tests {
             assert_eq!(cached.len(), eager.len(), "beam {}", beam);
             assert_eq!(cached[0].tokens, eager[0].tokens, "beam {}", beam);
         }
+    }
+
+    #[test]
+    fn cached_hypotheses_replay_to_their_log_prob_bits() {
+        // A survivor that took another hypothesis's cache would score its
+        // later tokens against the wrong prefix. Replaying each returned
+        // hypothesis through solo steps on a fresh cache must reproduce its
+        // log-prob sum bit for bit.
+        let model = Model::seeded(TransformerConfig::tiny(), 21);
+        let mut longest = 0;
+        for seed in 0..4u64 {
+            let x = init::uniform(3 + seed as usize, model.config.d_model, -1.0, 1.0, seed);
+            let mem = model.encode(&x, &ReferenceBackend);
+            for beam in [1usize, 2, 4] {
+                let cfg = BeamConfig { beam, max_len: 10, length_penalty: 0.6 };
+                for h in beam_search_cached(&model, &mem, &cfg, &ReferenceBackend) {
+                    let mut kv = KvCache::new(&model, &mem, &ReferenceBackend);
+                    let mut sum = 0.0f32;
+                    for w in h.tokens.windows(2) {
+                        let logits = cache::step(&model, w[0], &mut kv, &ReferenceBackend);
+                        sum += log_softmax(logits.row(0))[w[1]];
+                    }
+                    assert_eq!(
+                        sum.to_bits(),
+                        h.log_prob.to_bits(),
+                        "seed {} beam {} tokens {:?}",
+                        seed,
+                        beam,
+                        h.tokens
+                    );
+                    longest = longest.max(h.tokens.len());
+                }
+            }
+        }
+        assert!(longest >= 4, "some hypothesis must survive several steps");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! and the cross-attention K/V (which depend only on the encoder memory), so
 //! each step only projects the newest token. Decoding results are identical
 //! to the uncached path; the tests pin that equality token-for-token.
+//!
+//! A beam holds one cache per hypothesis, and most of a cache is the cross
+//! K/V, which every hypothesis shares. Each layer therefore keeps its cross
+//! K/V behind an [`Arc`]: cloning a cache copies only its self-attention
+//! rows, and those grow in place, one row per step.
 
 use crate::model::Model;
 use crate::weights::{AttentionWeights, DecoderWeights};
@@ -13,6 +18,14 @@ use asr_frontend::vocab::{self, TokenId};
 use asr_tensor::activations::softmax_rows_inplace;
 use asr_tensor::norm::layer_norm;
 use asr_tensor::{ops, MatMul, Matrix};
+use std::sync::Arc;
+
+/// Cross-attention K/V per head, projected from the encoder memory.
+#[derive(Clone)]
+struct CrossKv {
+    k: Vec<Matrix>,
+    v: Vec<Matrix>,
+}
 
 /// Per-layer cached state.
 #[derive(Clone)]
@@ -21,10 +34,31 @@ struct LayerCache {
     self_k: Vec<Matrix>,
     /// Self-attention V per head.
     self_v: Vec<Matrix>,
-    /// Cross-attention K per head (fixed once computed).
-    cross_k: Vec<Matrix>,
-    /// Cross-attention V per head.
-    cross_v: Vec<Matrix>,
+    /// Cross-attention K/V, shared by every clone of the cache (fixed
+    /// except through [`KvCache::extend_memory`], which copies on write).
+    cross: Arc<CrossKv>,
+}
+
+impl LayerCache {
+    /// Append one step's self-attention K and V rows for head `hd`.
+    fn push_self(&mut self, hd: usize, k_row: &[f32], v_row: &[f32]) {
+        if self.self_k.len() <= hd {
+            self.self_k.push(Matrix::from_vec(1, k_row.len(), k_row.to_vec()));
+            self.self_v.push(Matrix::from_vec(1, v_row.len(), v_row.to_vec()));
+        } else {
+            self.self_k[hd].push_row(k_row);
+            self.self_v[hd].push_row(v_row);
+        }
+    }
+
+    /// Head `hd`'s self-attention or cross-attention K and V.
+    fn kv(&self, hd: usize, self_attn: bool) -> (&Matrix, &Matrix) {
+        if self_attn {
+            (&self.self_k[hd], &self.self_v[hd])
+        } else {
+            (&self.cross.k[hd], &self.cross.v[hd])
+        }
+    }
 }
 
 /// Decoder-stack cache across steps.
@@ -54,7 +88,11 @@ impl KvCache {
                         &dec.cross_mha.b_v[hd],
                     ));
                 }
-                LayerCache { self_k: Vec::new(), self_v: Vec::new(), cross_k, cross_v }
+                LayerCache {
+                    self_k: Vec::new(),
+                    self_v: Vec::new(),
+                    cross: Arc::new(CrossKv { k: cross_k, v: cross_v }),
+                }
             })
             .collect();
         KvCache { layers }
@@ -72,7 +110,7 @@ impl KvCache {
 
     /// Encoder memory rows the cross-attention K/V currently cover.
     pub fn memory_len(&self) -> usize {
-        self.layers.first().and_then(|l| l.cross_k.first()).map(|k| k.rows()).unwrap_or(0)
+        self.layers.first().and_then(|l| l.cross.k.first()).map(|k| k.rows()).unwrap_or(0)
     }
 
     /// Extend the cross-attention K/V with newly arrived encoder memory
@@ -95,6 +133,7 @@ impl KvCache {
     pub fn extend_memory(&mut self, model: &Model, new_rows: &Matrix, backend: &dyn MatMul) {
         self.reset_self();
         for (dec, layer) in model.weights.decoders.iter().zip(&mut self.layers) {
+            let cross = Arc::make_mut(&mut layer.cross);
             for hd in 0..dec.cross_mha.w_k.len() {
                 let k_new = ops::add_bias(
                     &backend.matmul(new_rows, &dec.cross_mha.w_k[hd]),
@@ -104,8 +143,10 @@ impl KvCache {
                     &backend.matmul(new_rows, &dec.cross_mha.w_v[hd]),
                     &dec.cross_mha.b_v[hd],
                 );
-                layer.cross_k[hd] = Matrix::vconcat(&[&layer.cross_k[hd], &k_new]);
-                layer.cross_v[hd] = Matrix::vconcat(&[&layer.cross_v[hd], &v_new]);
+                for (k_row, v_row) in k_new.rows_iter().zip(v_new.rows_iter()) {
+                    cross.k[hd].push_row(k_row);
+                    cross.v[hd].push_row(v_row);
+                }
             }
         }
     }
@@ -136,32 +177,26 @@ fn cached_head_attention(
     ops::matmul_naive(&scores, v) // 1 × d_k
 }
 
-/// Multi-head attention of one new row with cache append (self-attention) or
-/// fixed cache (cross-attention).
+/// Multi-head attention of one new row: self-attention appends the row's
+/// K/V to the cache first; cross-attention reads the shared cross K/V.
 fn cached_mha(
     x_row: &Matrix,
     w: &AttentionWeights,
-    k_cache: &mut Vec<Matrix>,
-    v_cache: &mut Vec<Matrix>,
-    append: bool,
+    cache: &mut LayerCache,
+    self_attn: bool,
     backend: &dyn MatMul,
 ) -> Matrix {
     let h = w.w_q.len();
     let mut heads = Vec::with_capacity(h);
     for hd in 0..h {
         let q = ops::add_bias(&backend.matmul(x_row, &w.w_q[hd]), &w.b_q[hd]);
-        if append {
+        if self_attn {
             let k_new = ops::add_bias(&backend.matmul(x_row, &w.w_k[hd]), &w.b_k[hd]);
             let v_new = ops::add_bias(&backend.matmul(x_row, &w.w_v[hd]), &w.b_v[hd]);
-            if k_cache.len() <= hd {
-                k_cache.push(k_new);
-                v_cache.push(v_new);
-            } else {
-                k_cache[hd] = Matrix::vconcat(&[&k_cache[hd], &k_new]);
-                v_cache[hd] = Matrix::vconcat(&[&v_cache[hd], &v_new]);
-            }
+            cache.push_self(hd, k_new.row(0), v_new.row(0));
         }
-        heads.push(cached_head_attention(&q, &k_cache[hd], &v_cache[hd]));
+        let (k, v) = cache.kv(hd, self_attn);
+        heads.push(cached_head_attention(&q, k, v));
     }
     let refs: Vec<&Matrix> = heads.iter().collect();
     ops::add_bias(&backend.matmul(&Matrix::hconcat(&refs), &w.w_a), &w.b_a)
@@ -173,13 +208,9 @@ fn cached_decoder_layer(
     cache: &mut LayerCache,
     backend: &dyn MatMul,
 ) -> Matrix {
-    let self_att =
-        cached_mha(x_row, &dec.masked_mha, &mut cache.self_k, &mut cache.self_v, true, backend);
+    let self_att = cached_mha(x_row, &dec.masked_mha, cache, true, backend);
     let x1 = layer_norm(&ops::add(x_row, &self_att), &dec.ln1.w, &dec.ln1.b);
-    // cross-attention: cache fixed, no append
-    let mut ck = cache.cross_k.clone();
-    let mut cv = cache.cross_v.clone();
-    let cross = cached_mha(&x1, &dec.cross_mha, &mut ck, &mut cv, false, backend);
+    let cross = cached_mha(&x1, &dec.cross_mha, cache, false, backend);
     let x2 = layer_norm(&ops::add(&x1, &cross), &dec.ln2.w, &dec.ln2.b);
     let ffn = crate::ffn::ffn_forward(&x2, &dec.ffn, backend);
     layer_norm(&ops::add(&x2, &ffn), &dec.ln3.w, &dec.ln3.b)
@@ -224,21 +255,9 @@ fn beam_mha(
         for (i, lc) in lcs.iter_mut().enumerate() {
             let q_row = q.submatrix(i, 0, 1, q.cols());
             if let Some((k_new, v_new)) = &kv_new {
-                let k_row = k_new.submatrix(i, 0, 1, k_new.cols());
-                let v_row = v_new.submatrix(i, 0, 1, v_new.cols());
-                if lc.self_k.len() <= hd {
-                    lc.self_k.push(k_row);
-                    lc.self_v.push(v_row);
-                } else {
-                    lc.self_k[hd] = Matrix::vconcat(&[&lc.self_k[hd], &k_row]);
-                    lc.self_v[hd] = Matrix::vconcat(&[&lc.self_v[hd], &v_row]);
-                }
+                lc.push_self(hd, k_new.row(i), v_new.row(i));
             }
-            let (k, v) = if self_attn {
-                (&lc.self_k[hd], &lc.self_v[hd])
-            } else {
-                (&lc.cross_k[hd], &lc.cross_v[hd])
-            };
+            let (k, v) = lc.kv(hd, self_attn);
             out_rows.push(cached_head_attention(&q_row, k, v));
         }
         let refs: Vec<&Matrix> = out_rows.iter().collect();
