@@ -13,8 +13,46 @@ use crate::mm_exec;
 use asr_systolic::abft::PsaMatmul;
 use asr_tensor::activations::{relu_inplace, softmax_rows_inplace};
 use asr_tensor::norm::layer_norm;
+use asr_tensor::par::par_map;
 use asr_tensor::{ops, Matrix};
 use asr_transformer::weights::EncoderWeights;
+
+/// One encoder layer's weights cut into the stripes its MM1/MM4/MM5/MM6
+/// schemes feed the PSAs. Cutting copies every weight of the layer once,
+/// so a batch cuts each layer once and all its utterances share the cut.
+struct LayerStripes<'w> {
+    /// The layer itself, for the biases and the Add-Norm rows.
+    w: &'w EncoderWeights,
+    /// MM1 row stripes of each head's `W_Q`, `W_K` and `W_V`
+    /// ([`mm_exec::mm1_stripes`]).
+    q: Vec<Vec<Matrix>>,
+    k: Vec<Vec<Matrix>>,
+    v: Vec<Vec<Matrix>>,
+    /// MM4 row stripes of `W_A` ([`mm_exec::pool_stripes`]).
+    a: Vec<Matrix>,
+    /// MM5's per-SLR blocks of `W_1F` ([`mm_exec::mm5_stripes`]).
+    ffn1: [Vec<Matrix>; 2],
+    /// MM6 row stripes of `W_2F` ([`mm_exec::pool_stripes`]).
+    ffn2: Vec<Matrix>,
+}
+
+impl<'w> LayerStripes<'w> {
+    /// Cut `w` the way the paper's schemes stripe it across `cfg`'s PSAs.
+    fn cut(cfg: &AccelConfig, w: &'w EncoderWeights) -> Self {
+        let mm1 = |heads: &[Matrix]| -> Vec<Vec<Matrix>> {
+            heads.iter().map(|m| mm_exec::mm1_stripes(cfg, m)).collect()
+        };
+        LayerStripes {
+            w,
+            q: mm1(&w.mha.w_q),
+            k: mm1(&w.mha.w_k),
+            v: mm1(&w.mha.w_v),
+            a: mm_exec::pool_stripes(cfg, &w.mha.w_a),
+            ffn1: mm_exec::mm5_stripes(&w.ffn.w1),
+            ffn2: mm_exec::pool_stripes(cfg, &w.ffn.w2),
+        }
+    }
+}
 
 /// One attention head computed through the MM1/MM2/MM3 schemes
 /// (the Fig 4.13 operation chain, functionally).
@@ -22,20 +60,21 @@ fn head_via_schemes(
     cfg: &AccelConfig,
     engine: &dyn PsaMatmul,
     x: &Matrix,
-    w: &asr_transformer::weights::AttentionWeights,
+    cut: &LayerStripes,
     head: usize,
 ) -> Matrix {
+    let w = &cut.w.mha;
     // MM1(K), B(K)
-    let k = ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_k[head]), &w.b_k[head]);
+    let k = ops::add_bias(&mm_exec::row_striped_exec(engine, x, &cut.k[head]), &w.b_k[head]);
     // MM1(Q), B(Q)
-    let q = ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_q[head]), &w.b_q[head]);
+    let q = ops::add_bias(&mm_exec::row_striped_exec(engine, x, &cut.q[head]), &w.b_q[head]);
     // MM2 (padded), then Sc + Sm
     let mut scores = mm_exec::mm2_exec_with(cfg, engine, &q, &k);
     let scale = 1.0 / (cfg.model.d_k() as f32).sqrt();
     scores.map_inplace(|v| v * scale);
     softmax_rows_inplace(&mut scores);
     // MM1(V), B(V), MM3 (padded)
-    let v = ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_v[head]), &w.b_v[head]);
+    let v = ops::add_bias(&mm_exec::row_striped_exec(engine, x, &cut.v[head]), &w.b_v[head]);
     mm_exec::mm3_exec_with(cfg, engine, &scores, &v)
 }
 
@@ -54,33 +93,44 @@ pub fn encoder_forward_via_schemes_with(
     x: &Matrix,
     w: &EncoderWeights,
 ) -> Matrix {
+    encoder_forward_striped(cfg, engine, x, &LayerStripes::cut(cfg, w))
+}
+
+/// The layer chain on weights already cut into their scheme stripes.
+fn encoder_forward_striped(
+    cfg: &AccelConfig,
+    engine: &dyn PsaMatmul,
+    x: &Matrix,
+    cut: &LayerStripes,
+) -> Matrix {
     assert_eq!(x.cols(), cfg.model.d_model, "input width mismatch");
+    let w = cut.w;
     // the eight heads: concurrent on hardware, one after another here (the
     // host's threads go to the batch's utterances instead, see
     // `encoder_forward_via_schemes_batch`)
     let heads: Vec<Matrix> =
-        (0..cfg.model.n_heads).map(|h| head_via_schemes(cfg, engine, x, &w.mha, h)).collect();
+        (0..cfg.model.n_heads).map(|h| head_via_schemes(cfg, engine, x, cut, h)).collect();
     let refs: Vec<&Matrix> = heads.iter().collect();
     let concat = Matrix::hconcat(&refs);
 
     // MM4 across the pool + B_A, then Add-Norm
-    let mha_out =
-        ops::add_bias(&mm_exec::mm4_exec_with(cfg, engine, &concat, &w.mha.w_a), &w.mha.b_a);
+    let mha_out = ops::add_bias(&mm_exec::row_striped_exec(engine, &concat, &cut.a), &w.mha.b_a);
     let x1 = layer_norm(&ops::add(x, &mha_out), &w.ln1.w, &w.ln1.b);
 
     // FFN: MM5 + B_1F, ReLU, MM6 + B_2F, Add-Norm
-    let mut hidden = ops::add_bias(&mm_exec::mm5_exec_with(cfg, engine, &x1, &w.ffn.w1), &w.ffn.b1);
+    let mut hidden = ops::add_bias(&mm_exec::mm5_striped_exec(engine, &x1, &cut.ffn1), &w.ffn.b1);
     relu_inplace(&mut hidden);
     let ffn_out =
-        ops::add_bias(&mm_exec::mm6_exec_with(cfg, engine, &hidden, &w.ffn.w2), &w.ffn.b2);
+        ops::add_bias(&mm_exec::mm6_striped_exec(cfg, engine, &hidden, &cut.ffn2), &w.ffn.b2);
     layer_norm(&ops::add(&x1, &ffn_out), &w.ln2.w, &w.ln2.b)
 }
 
 /// One encoder layer over a whole batch of utterances, under a single
-/// weight residency: the layer's stripes are fetched once (the timing path
-/// charges one `LW` load per batch) and the utterances stream through the
-/// schemes, split across up to `available_parallelism` scoped threads and
-/// joined in input order. Functionally each output is bit-identical to
+/// weight residency: the layer's stripes are fetched — and cut — once (the
+/// timing path charges one `LW` load per batch), and the utterances stream
+/// through the schemes, spread across the host's cores
+/// ([`asr_tensor::par::par_map`]) and returned in input order.
+/// Functionally each output is bit-identical to
 /// [`encoder_forward_via_schemes_with`] on that utterance alone — the PSA
 /// engine is stateless per matmul, so sharing it across the batch cannot
 /// leak data between utterances.
@@ -90,28 +140,8 @@ pub fn encoder_forward_via_schemes_batch(
     xs: &[Matrix],
     w: &EncoderWeights,
 ) -> Vec<Matrix> {
-    map_utterances(xs, |x| encoder_forward_via_schemes_with(cfg, engine, x, w))
-}
-
-/// `items.iter().map(f).collect()`, with the items split into contiguous
-/// runs across up to `available_parallelism` scoped threads. Results come
-/// back in input order, and a panic in any worker resumes on the caller.
-pub(crate) fn map_utterances<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let workers: Vec<_> = items
-            .chunks(items.len().div_ceil(threads))
-            .map(|run| s.spawn(move || run.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    })
+    let cut = LayerStripes::cut(cfg, w);
+    par_map(xs.iter(), |x| encoder_forward_striped(cfg, engine, x, &cut))
 }
 
 #[cfg(test)]
@@ -169,15 +199,6 @@ mod tests {
         let batched = encoder_forward_via_schemes_batch(&cfg, &engine, &xs, &w);
         for (x, b) in xs.iter().zip(&batched) {
             assert_eq!(*b, encoder_forward_via_schemes_with(&cfg, &engine, x, &w));
-        }
-    }
-
-    #[test]
-    fn map_utterances_keeps_input_order_for_any_batch_size() {
-        for n in [0usize, 1, 2, 3, 7, 8, 37] {
-            let items: Vec<usize> = (0..n).collect();
-            let want: Vec<usize> = items.iter().map(|&i| i * 3 + 1).collect();
-            assert_eq!(map_utterances(&items, |&i| i * 3 + 1), want, "batch {}", n);
         }
     }
 

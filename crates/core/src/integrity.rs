@@ -25,15 +25,14 @@
 //! when the integrity checks are off.
 
 use crate::arch::Architecture;
-use crate::block_exec::{
-    encoder_forward_via_schemes_batch, encoder_forward_via_schemes_with, map_utterances,
-};
+use crate::block_exec::{encoder_forward_via_schemes_batch, encoder_forward_via_schemes_with};
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::plan::{DecodeStepSpec, ExecPlan, PhaseKind, PlanReuse, ResidentStripe};
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_frontend::vocab::{self, TokenId};
 use asr_systolic::abft::{AbftStats, CheckedPsa, IntegrityLevel, LaneFault};
+use asr_tensor::par::par_map;
 use asr_tensor::{crc32, init, Matrix, WeightEncoding};
 use asr_transformer::beam::{advance_beam, Hypothesis};
 use asr_transformer::cache::KvCache;
@@ -240,66 +239,66 @@ pub fn crc_refetch_step(
 }
 
 /// Fetch one stripe through the CRC envelope, applying any corruption that
-/// targets it, and decode the bytes that the configured level lets through.
+/// targets it, and decode the bytes that the configured level lets through
+/// into `slot`. Each attempt reads the clean payload afresh, so only an
+/// attempt that a corruption strikes copies the bytes; every other attempt
+/// checks the stripe's own bytes.
 fn fetch_stripe(
-    stripe: &WeightStripe,
+    mut stripe: WeightStripe,
     idx: usize,
     faults: &FunctionalFaults,
     level: IntegrityLevel,
     counters: &mut CorruptionCounters,
-) -> Result<Matrix> {
+    slot: &mut Matrix,
+) -> Result<()> {
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let mut bytes = stripe.bytes.clone();
-        let mut hit = false;
+        let mut struck: Option<Vec<u8>> = None;
         for c in faults.stripes.iter().filter(|c| c.stripe == idx) {
             if attempt > c.failing_fetches {
                 continue;
             }
-            let words = bytes.len() / 4;
+            let words = stripe.bytes.len() / 4;
             if words == 0 {
                 continue;
             }
+            let bytes = struck.get_or_insert_with(|| stripe.bytes.clone());
             bytes[(c.word % words) * 4 + (c.byte_in_word as usize).min(2)] ^= c.xor;
-            hit = true;
         }
+        let hit = struck.is_some();
         if hit {
             counters.injected += 1;
         }
         // `hit` says corruption was applied; with checks on the predicate is
         // the CRC itself (a lucky pair of flips could cancel), and at Off
         // the CRC is never read — `hit` is all the host could know.
-        let corrupt = if level.checks_enabled() { crc32(&bytes) != stripe.crc } else { hit };
+        let fetched = struck.as_deref().unwrap_or(&stripe.bytes);
+        let corrupt = if level.checks_enabled() { crc32(fetched) != stripe.crc } else { hit };
         match crc_refetch_step(corrupt, level.checks_enabled(), attempt, MAX_FETCHES, counters) {
-            CrcStep::Accept | CrcStep::Escape => return Ok(decode_bytes(stripe, bytes)),
+            CrcStep::Accept | CrcStep::Escape => {
+                // Fault injection flips bytes in place, never resizes, so
+                // the decode is structurally total for every encoding (a
+                // corrupted sparse payload is still the bitmap's payload
+                // length — the values are garbage, which is exactly what an
+                // escaped silent fault should produce).
+                if let Some(bytes) = struck {
+                    stripe.bytes = bytes;
+                }
+                stripe.decode_into(slot);
+                return Ok(());
+            }
             CrcStep::Refetch => {}
             CrcStep::Exhausted => {
                 return Err(AccelError::CorruptWeights {
                     phase: "load".into(),
-                    label: stripe.label.clone(),
+                    label: stripe.label,
                     attempts: attempt,
                     at_s: 0.0,
                 });
             }
         }
     }
-}
-
-fn decode_bytes(stripe: &WeightStripe, bytes: Vec<u8>) -> Matrix {
-    // Fault injection flips bytes in place, never resizes, so the decode is
-    // structurally total for every encoding (a corrupted sparse payload is
-    // still the bitmap's payload length — the values are garbage, which is
-    // exactly what an escaped silent fault should produce).
-    WeightStripe {
-        label: stripe.label.clone(),
-        rows: stripe.rows,
-        cols: stripe.cols,
-        bytes,
-        crc: stripe.crc,
-        encoding: stripe.encoding.clone(),
-    }
-    .decode()
 }
 
 /// Load every weight matrix through the CRC envelope under `level`,
@@ -319,6 +318,7 @@ pub fn load_model_with_faults(
 /// ([`WeightStripe::export_encoded`]), corruption strikes the **encoded**
 /// bytes, the CRC (also over encoded bytes) arbitrates, and the survivors
 /// decode at load. `WeightEncoding::Dense` is exactly the legacy path.
+/// Leaves `w` untouched: loads a copy through [`load_model_in_place`].
 pub fn load_model_with_faults_encoded(
     w: &ModelWeights,
     spec: WeightEncoding,
@@ -326,14 +326,52 @@ pub fn load_model_with_faults_encoded(
     level: IntegrityLevel,
     counters: &mut CorruptionCounters,
 ) -> Result<ModelWeights> {
-    // One stripe in flight at a time: export, fetch and decode each matrix
-    // straight into its slot, in `ModelWeights::matrices` order.
-    let mut loaded = w.clone();
-    for (i, (slot, m)) in loaded.matrices_mut().into_iter().zip(w.matrices()).enumerate() {
-        let stripe = WeightStripe::export_encoded(format!("W{}", i), m, spec);
-        *slot = fetch_stripe(&stripe, i, faults, level, counters)?;
+    load_model_in_place(w.clone(), spec, faults, level, counters)
+}
+
+/// [`load_model_with_faults_encoded`] without a second model: each matrix
+/// slot is exported, fetched and decoded straight back into itself, so the
+/// clean matrix drops as its stripe lands and the load peaks at about one
+/// model. Stripes are spread across the host's cores
+/// ([`asr_tensor::par::par_map`]); their counters merge in stripe order,
+/// and a failed load reports the lowest-numbered failing stripe with the
+/// counters of the stripes up to it — exactly what loading them one by one
+/// in [`ModelWeights::matrices`] order would report.
+pub fn load_model_in_place(
+    mut w: ModelWeights,
+    spec: WeightEncoding,
+    faults: &FunctionalFaults,
+    level: IntegrityLevel,
+    counters: &mut CorruptionCounters,
+) -> Result<ModelWeights> {
+    let landed = par_map(w.matrices_mut().into_iter().enumerate(), |(i, slot)| {
+        let mut c = CorruptionCounters::default();
+        let stripe = WeightStripe::export_encoded(format!("W{}", i), slot, spec);
+        let r = fetch_stripe(stripe, i, faults, level, &mut c, slot);
+        (c, r)
+    });
+    for (c, r) in landed {
+        counters.merge(&c);
+        r?;
     }
-    Ok(loaded)
+    Ok(w)
+}
+
+/// What every functional twin starts from: the model seeded from
+/// `model_seed` and loaded in place through the CRC envelope at `level`
+/// in `cfg`'s wire encoding, the load's corruption counters, and one
+/// ABFT-checked engine carrying `faults`' lane fault.
+fn seed_and_load(
+    cfg: &AccelConfig,
+    model_seed: u64,
+    level: IntegrityLevel,
+    faults: &FunctionalFaults,
+) -> Result<(ModelWeights, CheckedPsa, CorruptionCounters)> {
+    let mut counters = CorruptionCounters::default();
+    let clean = ModelWeights::seeded(&cfg.model, model_seed);
+    let w = load_model_in_place(clean, cfg.encoding, faults, level, &mut counters)?;
+    let engine = CheckedPsa::with_fault(cfg.psa_engine(), level, faults.lane);
+    Ok((w, engine, counters))
 }
 
 /// Per-utterance outputs of a batched functional run.
@@ -486,9 +524,8 @@ fn advance_phases(
                         .map(|_| w.embedding.submatrix(0, 0, steps, cfg.model.d_model))
                         .collect();
                 }
-                let pairs: Vec<(&Matrix, &Matrix)> = cur.ys.iter().zip(&cur.xs).collect();
                 let layer = &w.decoders[cur.dec_idx];
-                cur.ys = map_utterances(&pairs, |&(y, memory)| {
+                cur.ys = par_map(cur.ys.iter().zip(&cur.xs), |(y, memory)| {
                     decoder_forward(y, memory, layer, engine)
                 });
                 // Guarded in utterance order after the join, so the first
@@ -582,11 +619,7 @@ fn functional_prelude(
             input_seeds.len()
         )));
     }
-    let level = plan.integrity;
-    let mut counters = CorruptionCounters::default();
-    let clean = ModelWeights::seeded(&cfg.model, model_seed);
-    let w = load_model_with_faults_encoded(&clean, cfg.encoding, faults, level, &mut counters)?;
-    let engine = CheckedPsa::with_fault(cfg.psa_engine(), level, faults.lane);
+    let (w, engine, counters) = seed_and_load(cfg, model_seed, plan.integrity, faults)?;
     let input_len = plan.input_lens.iter().copied().max().unwrap_or(1);
     let s = plan.seq_len.min(input_len.max(1));
     let xs: Vec<Matrix> = input_seeds
@@ -1042,11 +1075,7 @@ pub fn resume_functional_stream(
     state.verify()?;
     cfg.validate()?;
     let plan = lower_stream_chunk_plan(cfg, state.chunk, state.left_context)?;
-    let mut counters = CorruptionCounters::default();
-    let clean = ModelWeights::seeded(&cfg.model, model_seed);
-    let w =
-        load_model_with_faults_encoded(&clean, cfg.encoding, faults, cfg.integrity, &mut counters)?;
-    let engine = CheckedPsa::with_fault(cfg.psa_engine(), cfg.integrity, faults.lane);
+    let (w, engine, mut counters) = seed_and_load(cfg, model_seed, cfg.integrity, faults)?;
     let start_row = state.emitted_rows;
     let (encoder_out, final_state, chunks) =
         drive_functional_stream(cfg, &plan, &w, &engine, state.clone(), features)?;
@@ -1132,11 +1161,7 @@ pub fn run_functional_decode(
             mem_len, max_steps, beam
         )));
     }
-    let mut counters = CorruptionCounters::default();
-    let clean = ModelWeights::seeded(&cfg.model, model_seed);
-    let w =
-        load_model_with_faults_encoded(&clean, cfg.encoding, faults, cfg.integrity, &mut counters)?;
-    let engine = CheckedPsa::with_fault(cfg.psa_engine(), cfg.integrity, faults.lane);
+    let (w, engine, mut counters) = seed_and_load(cfg, model_seed, cfg.integrity, faults)?;
     let model = Model { config: cfg.model, weights: w };
     let features = init::uniform(mem_len, cfg.model.d_model, -0.5, 0.5, input_seed);
     let memory = model.encode(&features, &engine);
@@ -1445,6 +1470,112 @@ mod tests {
             }
             other => panic!("expected CorruptWeights, got {}", other),
         }
+    }
+
+    /// The loader one stripe at a time, in canonical order, stopping at the
+    /// first failure: the reference the parallel in-place loader must match.
+    fn sequential_load(
+        w: &ModelWeights,
+        faults: &FunctionalFaults,
+        level: IntegrityLevel,
+        counters: &mut CorruptionCounters,
+    ) -> Result<ModelWeights> {
+        let mut loaded = w.clone();
+        for (i, (slot, m)) in loaded.matrices_mut().into_iter().zip(w.matrices()).enumerate() {
+            let stripe = WeightStripe::export_encoded(format!("W{}", i), m, WeightEncoding::Dense);
+            fetch_stripe(stripe, i, faults, level, counters, slot)?;
+        }
+        Ok(loaded)
+    }
+
+    fn corruption(stripe: usize, word: usize, failing_fetches: u32) -> StripeCorruption {
+        StripeCorruption {
+            stripe,
+            word,
+            byte_in_word: (word % 3) as u8,
+            xor: 0x24,
+            failing_fetches,
+        }
+    }
+
+    fn bits_equal(a: &ModelWeights, b: &ModelWeights) -> bool {
+        a.matrices().iter().zip(b.matrices()).all(|(x, y)| {
+            x.shape() == y.shape()
+                && x.as_slice().iter().zip(y.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits())
+        })
+    }
+
+    /// Load `w` in parallel and one stripe at a time under `faults` at
+    /// `level`: the models (bit for bit), the counters and the first error
+    /// must agree. Returns the parallel result.
+    fn loaders_agree(
+        w: &ModelWeights,
+        faults: &FunctionalFaults,
+        level: IntegrityLevel,
+    ) -> (Result<ModelWeights>, CorruptionCounters) {
+        let (mut cp, mut cs) = (CorruptionCounters::default(), CorruptionCounters::default());
+        let par = load_model_in_place(w.clone(), WeightEncoding::Dense, faults, level, &mut cp);
+        let seq = sequential_load(w, faults, level, &mut cs);
+        assert_eq!(cp, cs, "counters at {:?}", level);
+        match (&par, &seq) {
+            (Ok(a), Ok(b)) => assert!(bits_equal(a, b), "loaded bits differ at {:?}", level),
+            (Err(a), Err(b)) => assert_eq!(a, b, "first error at {:?}", level),
+            _ => panic!("parallel ok {} vs sequential ok {}", par.is_ok(), seq.is_ok()),
+        }
+        (par, cp)
+    }
+
+    /// Transient corruptions over the model (two on one stripe, some
+    /// outlasting a refetch) load identically both ways at every level;
+    /// two stripes that exhaust their fetches report the lower-numbered
+    /// one, with the counters of the stripes before it.
+    fn parallel_load_matches_sequential(w: &ModelWeights) {
+        let n = w.matrices().len();
+        let transient = FunctionalFaults {
+            stripes: vec![
+                corruption(3, 40, 1),
+                corruption(n / 3, 9_000, 2),
+                corruption(n / 2, 123, 3),
+                corruption(n / 2, 77_777, 1),
+                corruption(n - 5, 5, 1),
+                corruption(n - 1, 2, 2),
+            ],
+            lane: None,
+        };
+        let (_, off) = loaders_agree(w, &transient, IntegrityLevel::Off);
+        assert_eq!(off.escaped, 5, "one escape per struck stripe");
+        for level in [IntegrityLevel::Detect, IntegrityLevel::DetectAndRecompute] {
+            let (loaded, c) = loaders_agree(w, &transient, level);
+            assert_eq!(c.refetched, 1 + 2 + 3 + 1 + 2);
+            assert!(bits_equal(&loaded.unwrap(), w), "scrubbed load must be clean");
+        }
+
+        let mut exhausting = transient;
+        exhausting.stripes.push(corruption(n - 3, 11, u32::MAX));
+        exhausting.stripes.push(corruption(n / 4, 11, u32::MAX));
+        for level in [IntegrityLevel::Detect, IntegrityLevel::DetectAndRecompute] {
+            match loaders_agree(w, &exhausting, level) {
+                (Err(AccelError::CorruptWeights { label, attempts, .. }), c) => {
+                    assert_eq!(label, format!("W{}", n / 4));
+                    assert_eq!(attempts, MAX_FETCHES);
+                    // stripe 3's one detection, then stripe n/4's four
+                    assert_eq!(c.detected, 1 + MAX_FETCHES as u64);
+                }
+                (other, _) => panic!("expected CorruptWeights, got ok = {}", other.is_ok()),
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_in_place_load_matches_a_sequential_load() {
+        parallel_load_matches_sequential(&ModelWeights::seeded(&small_config().model, 21));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "paper scale: runs in the release test step")]
+    fn parallel_in_place_load_matches_a_sequential_load_at_paper_scale() {
+        let paper = asr_transformer::TransformerConfig::paper_base();
+        parallel_load_matches_sequential(&ModelWeights::seeded(&paper, 21));
     }
 
     #[test]

@@ -19,13 +19,31 @@ pub fn mm1_exec(cfg: &AccelConfig, x: &Matrix, w: &Matrix) -> Matrix {
 
 /// [`mm1_exec`] on an explicit PSA engine (e.g. an ABFT-checked one).
 pub fn mm1_exec_with(cfg: &AccelConfig, psa: &dyn PsaMatmul, x: &Matrix, w: &Matrix) -> Matrix {
-    let stripes = cfg.model.d_model / cfg.psa.cols;
     assert_eq!(x.cols(), cfg.model.d_model, "MM1 input width");
+    row_striped_exec(psa, x, &mm1_stripes(cfg, w))
+}
+
+/// MM1's weight cut: one row stripe per PSA-width column stripe of the
+/// input.
+pub(crate) fn mm1_stripes(cfg: &AccelConfig, w: &Matrix) -> Vec<Matrix> {
     assert_eq!(w.rows(), cfg.model.d_model, "MM1 weight height");
-    let xs = x.split_cols(stripes);
-    let ws = w.split_rows(stripes);
-    let mut acc = Matrix::zeros(x.rows(), w.cols());
-    for (a, b) in xs.iter().zip(&ws) {
+    w.split_rows(cfg.model.d_model / cfg.psa.cols)
+}
+
+/// MM4's and MM6's weight cut: one row stripe per PSA of the pool.
+pub(crate) fn pool_stripes(cfg: &AccelConfig, w: &Matrix) -> Vec<Matrix> {
+    w.split_rows(cfg.n_psas)
+}
+
+/// MM1 and MM4 on a weight already cut into its row stripes `ws`
+/// ([`mm1_stripes`], [`pool_stripes`]): the input splits into as many
+/// column stripes, and the pairwise stripe products accumulate in stripe
+/// order. A caller that feeds several
+/// inputs through one weight cuts it once and passes the stripes to each.
+pub(crate) fn row_striped_exec(psa: &dyn PsaMatmul, x: &Matrix, ws: &[Matrix]) -> Matrix {
+    let xs = x.split_cols(ws.len());
+    let mut acc = Matrix::zeros(x.rows(), ws[0].cols());
+    for (a, b) in xs.iter().zip(ws) {
         ops::add_assign(&mut acc, &psa.matmul(a, b));
     }
     acc
@@ -82,14 +100,7 @@ pub fn mm4_exec_with(
     concat: &Matrix,
     w_a: &Matrix,
 ) -> Matrix {
-    let n = cfg.n_psas;
-    let xs = concat.split_cols(n);
-    let ws = w_a.split_rows(n);
-    let mut acc = Matrix::zeros(concat.rows(), w_a.cols());
-    for (a, b) in xs.iter().zip(&ws) {
-        ops::add_assign(&mut acc, &psa.matmul(a, b));
-    }
-    acc
+    row_striped_exec(psa, concat, &pool_stripes(cfg, w_a))
 }
 
 /// MM5 (Fig 4.6): each SLR receives a `d × d_ff/2` weight half; the input
@@ -102,21 +113,34 @@ pub fn mm5_exec(cfg: &AccelConfig, x: &Matrix, w1: &Matrix) -> Matrix {
 
 /// [`mm5_exec`] on an explicit PSA engine (e.g. an ABFT-checked one).
 pub fn mm5_exec_with(_cfg: &AccelConfig, psa: &dyn PsaMatmul, x: &Matrix, w1: &Matrix) -> Matrix {
-    let x_halves = x.split_cols(2);
+    mm5_striped_exec(psa, x, &mm5_stripes(w1))
+}
+
+/// MM5's weight cut: `[slr][half]` is the SLR's column half of the
+/// weight's row half `half` — the block one PSA pair multiplies.
+pub(crate) fn mm5_stripes(w1: &Matrix) -> [Vec<Matrix>; 2] {
+    let dff = w1.cols();
     let w_row_halves = w1.split_rows(2);
-    // each SLR owns one column half of the weights
-    let mut out_halves = Vec::with_capacity(2);
-    for slr in 0..2 {
-        // the SLR's weight half: columns [slr*dff/2, ...)
-        let dff = w1.cols();
-        let w_slr_cols = |wrh: &Matrix| wrh.col_stripe(slr * dff / 2, dff / 2);
+    // each SLR owns one column half of the weights: columns [slr*dff/2, ...)
+    [0, 1]
+        .map(|slr| w_row_halves.iter().map(|wrh| wrh.col_stripe(slr * dff / 2, dff / 2)).collect())
+}
+
+/// MM5 on a weight already cut by [`mm5_stripes`].
+pub(crate) fn mm5_striped_exec(
+    psa: &dyn PsaMatmul,
+    x: &Matrix,
+    w_slr: &[Vec<Matrix>; 2],
+) -> Matrix {
+    let x_halves = x.split_cols(2);
+    let out_halves = w_slr.each_ref().map(|halves| {
         // two partial products (one per input half) accumulate
-        let mut acc = Matrix::zeros(x.rows(), dff / 2);
-        for (xh, wrh) in x_halves.iter().zip(&w_row_halves) {
-            ops::add_assign(&mut acc, &psa.matmul(xh, &w_slr_cols(wrh)));
+        let mut acc = Matrix::zeros(x.rows(), halves[0].cols());
+        for (xh, w) in x_halves.iter().zip(halves) {
+            ops::add_assign(&mut acc, &psa.matmul(xh, w));
         }
-        out_halves.push(acc);
-    }
+        acc
+    });
     Matrix::hconcat(&[&out_halves[0], &out_halves[1]])
 }
 
@@ -129,11 +153,20 @@ pub fn mm6_exec(cfg: &AccelConfig, h: &Matrix, w2: &Matrix) -> Matrix {
 
 /// [`mm6_exec`] on an explicit PSA engine (e.g. an ABFT-checked one).
 pub fn mm6_exec_with(cfg: &AccelConfig, psa: &dyn PsaMatmul, h: &Matrix, w2: &Matrix) -> Matrix {
-    let n = cfg.n_psas;
-    let hs = h.split_cols(n);
-    let ws = w2.split_rows(n);
-    let mut slr_partials = [Matrix::zeros(h.rows(), w2.cols()), Matrix::zeros(h.rows(), w2.cols())];
-    for (i, (a, b)) in hs.iter().zip(&ws).enumerate() {
+    mm6_striped_exec(cfg, psa, h, &pool_stripes(cfg, w2))
+}
+
+/// MM6 on a weight already cut by [`pool_stripes`].
+pub(crate) fn mm6_striped_exec(
+    cfg: &AccelConfig,
+    psa: &dyn PsaMatmul,
+    h: &Matrix,
+    ws: &[Matrix],
+) -> Matrix {
+    let hs = h.split_cols(ws.len());
+    let cols = ws[0].cols();
+    let mut slr_partials = [Matrix::zeros(h.rows(), cols), Matrix::zeros(h.rows(), cols)];
+    for (i, (a, b)) in hs.iter().zip(ws).enumerate() {
         let slr = i / cfg.psas_per_slr;
         let p = psa.matmul(a, b);
         ops::add_assign(&mut slr_partials[slr], &p);

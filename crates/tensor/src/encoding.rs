@@ -326,6 +326,29 @@ pub fn encode(m: &Matrix, spec: WeightEncoding) -> (StripeEncoding, Vec<u8>) {
     }
 }
 
+/// [`decode`] into an existing matrix: a dense payload of `out`'s shape
+/// overwrites `out`'s storage in place, with no allocation; any other
+/// payload decodes afresh and replaces `out`. On error `out` is untouched.
+pub fn decode_into(
+    enc: &StripeEncoding,
+    rows: usize,
+    cols: usize,
+    bytes: &[u8],
+    out: &mut Matrix,
+) -> Result<(), CodecError> {
+    match enc {
+        StripeEncoding::DenseF32
+            if out.shape() == (rows, cols) && bytes.len() == rows * cols * 4 =>
+        {
+            for (v, c) in out.as_mut_slice().iter_mut().zip(bytes.chunks_exact(4)) {
+                *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            }
+        }
+        _ => *out = decode(enc, rows, cols, bytes)?,
+    }
+    Ok(())
+}
+
 /// Decode wire bytes back into a `rows × cols` matrix under a data-level
 /// record. Lossless records reconstruct the source bit-for-bit; int8
 /// reconstructs exactly `quantize(m).dequantize()`.
@@ -554,6 +577,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn decode_into_matches_decode_for_every_encoding() {
+        let m = init::uniform(8, 12, -1.0, 1.0, 5);
+        for spec in [
+            WeightEncoding::Dense,
+            WeightEncoding::Int8,
+            WeightEncoding::BlockCirculant { block: 4 },
+            WeightEncoding::SparseTiles { tile: 4, occupancy_pct: 100 },
+        ] {
+            let (enc, bytes) = encode(&m, spec);
+            let want = decode(&enc, 8, 12, &bytes).unwrap();
+            // a same-shape slot (overwritten in place) and a mis-shaped one
+            for mut slot in [Matrix::filled(8, 12, 9.0), Matrix::zeros(1, 1)] {
+                decode_into(&enc, 8, 12, &bytes, &mut slot).unwrap();
+                assert_eq!(slot, want, "{:?}", spec);
+            }
+        }
+        let mut slot = Matrix::filled(8, 12, 9.0);
+        assert!(decode_into(&StripeEncoding::DenseF32, 8, 12, &[0u8; 4], &mut slot).is_err());
+        assert_eq!(slot, Matrix::filled(8, 12, 9.0), "a failed decode leaves the slot");
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! * [`ops::matmul_parallel`] — rayon-parallel over row bands, used by the
 //!   CPU baseline in `asr-baselines`.
 //!
+//! [`par::par_map`] is the one scoped-thread fan-out the host code uses to
+//! spread independent work (model layers, weight stripes, utterances) over
+//! the machine's cores; the vendored `rayon` is a sequential stub.
+//!
 //! The [`backend::MatMul`] trait lets `asr-transformer` swap the reference
 //! kernels for the systolic functional units in `asr-systolic` without the
 //! model code changing.
@@ -27,6 +31,7 @@ pub mod init;
 pub mod matrix;
 pub mod norm;
 pub mod ops;
+pub mod par;
 pub mod quant;
 pub mod quant16;
 pub mod stats;

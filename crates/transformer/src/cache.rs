@@ -163,13 +163,33 @@ impl KvCache {
     }
 }
 
+/// `q · Kᵀ` for one query row without transposing `K`: score `j` is the dot
+/// product of `q` with row `j` of `K`, summed from zero in increasing `k`
+/// and skipping zero `q` entries — the exact adds, in the exact order, of
+/// `matmul_naive(q, &k.transpose())`, so every bit matches it.
+fn query_scores(q: &[f32], k: &Matrix) -> Matrix {
+    let scores = k
+        .rows_iter()
+        .map(|k_row| {
+            let mut acc = 0.0f32;
+            for (&qp, &kp) in q.iter().zip(k_row) {
+                if qp != 0.0 {
+                    acc += qp * kp;
+                }
+            }
+            acc
+        })
+        .collect();
+    Matrix::from_vec(1, k.rows(), scores)
+}
+
 /// Attention of ONE new query row against cached K/V for one head.
 fn cached_head_attention(
     q_row: &Matrix, // 1 × d_k
     k: &Matrix,     // t × d_k
     v: &Matrix,     // t × d_k
 ) -> Matrix {
-    let mut scores = ops::matmul_naive(q_row, &k.transpose()); // 1 × t
+    let mut scores = query_scores(q_row.row(0), k); // 1 × t
     let scale = 1.0 / (q_row.cols() as f32).sqrt();
     scores.map_inplace(|x| x * scale);
     // causality is implicit: the cache only holds past positions
@@ -356,6 +376,27 @@ mod tests {
     use crate::config::TransformerConfig;
     use asr_tensor::backend::ReferenceBackend;
     use asr_tensor::init;
+
+    #[test]
+    fn query_scores_match_the_transposed_naive_matmul_bit_for_bit() {
+        for t in 1..=64usize {
+            let k = init::uniform(t, 64, -1.0, 1.0, 100 + t as u64);
+            let mut q = init::uniform(1, 64, -1.0, 1.0, 200 + t as u64);
+            // zero entries, including a negative zero, are skipped by both
+            for (p, v) in q.as_mut_slice().iter_mut().enumerate() {
+                if (p + t) % 5 == 0 {
+                    *v = 0.0;
+                } else if (p + t) % 11 == 0 {
+                    *v = -0.0;
+                }
+            }
+            let want = ops::matmul_naive(&q, &k.transpose());
+            let got = query_scores(q.row(0), &k);
+            assert_eq!(got.shape(), (1, t));
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "t = {}", t);
+        }
+    }
 
     fn rig() -> (Model, Matrix) {
         let model = Model::seeded(TransformerConfig::tiny(), 31);

@@ -8,6 +8,7 @@
 
 use crate::config::TransformerConfig;
 use asr_tensor::encoding::{self, CodecError, StripeEncoding, WeightEncoding};
+use asr_tensor::par::par_map;
 use asr_tensor::{crc32, init, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -103,6 +104,18 @@ impl WeightStripe {
     /// non-dense stripes should use [`Self::try_decode`].
     pub fn decode(&self) -> Matrix {
         self.try_decode().expect("stripe payload size mismatch")
+    }
+
+    /// [`Self::decode`] into an existing matrix of the stripe's shape,
+    /// reusing its storage for a dense payload
+    /// ([`encoding::decode_into`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::decode`].
+    pub fn decode_into(&self, out: &mut Matrix) {
+        encoding::decode_into(&self.encoding, self.rows, self.cols, &self.bytes, out)
+            .expect("stripe payload size mismatch")
     }
 }
 
@@ -418,16 +431,19 @@ pub struct ModelWeights {
 }
 
 impl ModelWeights {
-    /// Seeded init of the full stack.
+    /// Seeded init of the full stack. Every layer draws from its own seeds,
+    /// so the layers are independent and seed in parallel
+    /// ([`asr_tensor::par::par_map`]); the bits do not depend on the split.
     pub fn seeded(cfg: &TransformerConfig, seed: u64) -> Self {
         cfg.validate();
+        let encoders =
+            par_map(0..cfg.n_encoders, |i| EncoderWeights::seeded(cfg, seed + 10_000 * i as u64));
+        let decoders = par_map(0..cfg.n_decoders, |i| {
+            DecoderWeights::seeded(cfg, seed + 1_000_000 + 10_000 * i as u64)
+        });
         ModelWeights {
-            encoders: (0..cfg.n_encoders)
-                .map(|i| EncoderWeights::seeded(cfg, seed + 10_000 * i as u64))
-                .collect(),
-            decoders: (0..cfg.n_decoders)
-                .map(|i| DecoderWeights::seeded(cfg, seed + 1_000_000 + 10_000 * i as u64))
-                .collect(),
+            encoders,
+            decoders,
             embedding: init::xavier(cfg.vocab_size, cfg.d_model, seed + 2_000_000),
             out_proj: init::xavier(cfg.d_model, cfg.vocab_size, seed + 2_000_001),
             out_bias: init::xavier(1, cfg.vocab_size, seed + 2_000_002),
@@ -670,5 +686,51 @@ mod tests {
         for (got, want) in copy.encoders[0].matrices_mut().into_iter().zip(&expected) {
             assert_eq!(&*got, want);
         }
+    }
+
+    /// Whether two models hold the same shapes and the same bits.
+    fn same_bits(a: &ModelWeights, b: &ModelWeights) -> bool {
+        let (ma, mb) = (a.matrices(), b.matrices());
+        ma.len() == mb.len()
+            && ma.iter().zip(&mb).all(|(x, y)| {
+                x.shape() == y.shape()
+                    && x.as_slice()
+                        .iter()
+                        .zip(y.as_slice())
+                        .all(|(p, q)| p.to_bits() == q.to_bits())
+            })
+    }
+
+    /// The stack built layer by layer on this thread, with the seeds
+    /// [`ModelWeights::seeded`] gives each layer.
+    fn sequential_seeded(cfg: &TransformerConfig, seed: u64) -> ModelWeights {
+        ModelWeights {
+            encoders: (0..cfg.n_encoders)
+                .map(|i| EncoderWeights::seeded(cfg, seed + 10_000 * i as u64))
+                .collect(),
+            decoders: (0..cfg.n_decoders)
+                .map(|i| DecoderWeights::seeded(cfg, seed + 1_000_000 + 10_000 * i as u64))
+                .collect(),
+            embedding: init::xavier(cfg.vocab_size, cfg.d_model, seed + 2_000_000),
+            out_proj: init::xavier(cfg.d_model, cfg.vocab_size, seed + 2_000_001),
+            out_bias: init::xavier(1, cfg.vocab_size, seed + 2_000_002),
+        }
+    }
+
+    #[test]
+    fn parallel_seeding_is_bit_identical_to_a_sequential_build() {
+        let cfg = TransformerConfig::tiny();
+        let parallel = ModelWeights::seeded(&cfg, 77);
+        assert!(same_bits(&parallel, &sequential_seeded(&cfg, 77)));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "paper scale: runs in the release test step")]
+    fn parallel_seeding_is_bit_identical_to_a_sequential_build_at_paper_scale() {
+        // The layer split across threads must not move a bit.
+        let cfg = TransformerConfig::paper_base();
+        let parallel = ModelWeights::seeded(&cfg, 0x5eed);
+        assert_eq!((parallel.encoders.len(), parallel.decoders.len()), (12, 6));
+        assert!(same_bits(&parallel, &sequential_seeded(&cfg, 0x5eed)), "a bit moved");
     }
 }
